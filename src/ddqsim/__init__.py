@@ -1,4 +1,4 @@
-"""Decision-diagram quantum circuit simulation with certified approximation.
+"""Decision-diagram quantum circuit simulation with budgeted approximation.
 
 States live in hash-consed edge-weighted decision diagrams (:mod:`.dd`),
 gates apply through matrix diagrams (:mod:`.ops`), and low-contribution
@@ -13,7 +13,7 @@ from .circuit import (Circuit, Gate, QasmParseError, gate_matrix, gen_ghz,
                       gen_qft, gen_shor_period, gen_supremacy, parse_qasm,
                       to_qasm)
 from .dd import (EPS, CapacityError, Context, StateDD, TERMINAL,
-                 reachable_nodes, squared_norm, subtree_norms)
+                 levels, squared_norm, subtree_norms)
 from .ops import apply, fidelity, gate_dd, inner_product
 from .strategies import (FidelityDrivenConfig, MemoryDrivenConfig, RoundRecord,
                          SimStats, even_positions, marker_positions,
@@ -26,7 +26,7 @@ __all__ = [
     "Circuit", "Gate", "QasmParseError", "gate_matrix", "gen_ghz", "gen_qft",
     "gen_shor_period", "gen_supremacy", "parse_qasm", "to_qasm",
     "EPS", "CapacityError", "Context", "StateDD", "TERMINAL",
-    "reachable_nodes", "squared_norm", "subtree_norms",
+    "levels", "squared_norm", "subtree_norms",
     "apply", "fidelity", "gate_dd", "inner_product",
     "RoundOutcome", "approximate_round", "node_contributions", "remove_nodes",
     "FidelityDrivenConfig", "MemoryDrivenConfig", "RoundRecord", "SimStats",

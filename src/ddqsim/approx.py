@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dd import Edge, StateDD, TERMINAL, VNode, squared_norm, subtree_norms
+from .dd import Edge, StateDD, TERMINAL, VNode, level_norms, levels
 
 
 @dataclass
@@ -42,48 +42,34 @@ def node_contributions(state: StateDD) -> dict[VNode, float]:
 
     The root's contribution is the squared norm of the state (1 for unit
     states); within any single level contributions sum to the same value.
+    One :func:`levels` walk serves both halves: suffix norms fill bottom-up,
+    then prefix masses flow top-down.
     """
-    prefix = _prefix_masses(state.root)
-    suffix = subtree_norms(state.root)
-    return {node: mass * suffix[id(node)] for node, mass in prefix.items()}
+    buckets = levels(state.root)
+    suffix = level_norms(buckets)
+    contributions: dict[VNode, float] = {}
+    w = state.root[1]
+    prefix = {state.root[0]: w.real * w.real + w.imag * w.imag}
+    for bucket in buckets:
+        for node in bucket:
+            mass = prefix[node]
+            contributions[node] = mass * suffix[id(node)]
+            for child, cw in (node.low, node.high):
+                if cw != 0 and child is not TERMINAL:
+                    prefix[child] = prefix.get(child, 0.0) + \
+                        mass * (cw.real * cw.real + cw.imag * cw.imag)
+    return contributions
 
 
-def _prefix_masses(root: Edge) -> dict[VNode, float]:
-    """Probability mass arriving at each node from above.
-
-    Nodes are visited in descending level order, which is a topological
-    order because every nonzero edge descends exactly one level.
-    """
-    masses: dict[VNode, float] = {}
-    target, w = root
-    if w == 0 or target is TERMINAL:
-        return masses
-    masses[target] = w.real * w.real + w.imag * w.imag
-    order = sorted(_live_nodes(root), key=lambda nd: -nd.level)
-    for node in order:
-        mass = masses[node]
-        for child, cw in (node.low, node.high):
-            if cw == 0 or child is TERMINAL:
-                continue
-            masses[child] = masses.get(child, 0.0) + \
-                mass * (cw.real * cw.real + cw.imag * cw.imag)
-    return masses
-
-
-def _live_nodes(root: Edge) -> list[VNode]:
-    seen: set[int] = set()
-    out: list[VNode] = []
-    stack = [root[0]]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        out.append(node)
-        for child, cw in (node.low, node.high):
-            if cw != 0 and child is not TERMINAL:
-                stack.append(child)
-    return out
+def _size_and_mass(root: Edge) -> tuple[int, float]:
+    """Reachable node count and squared norm of ``root``, from one walk."""
+    buckets = levels(root)
+    if not buckets:
+        return 0, 0.0
+    w = root[1]
+    mass = (w.real * w.real + w.imag * w.imag) * \
+        level_norms(buckets)[id(root[0])]
+    return sum(map(len, buckets)), mass
 
 
 def remove_nodes(state: StateDD, victims) -> RoundOutcome:
@@ -98,7 +84,7 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
     victim_ids = {id(v) for v in victims}
     if id(state.root[0]) in victim_ids:
         raise ValueError("cannot remove the root node")
-    nodes_before = state.node_count()
+    nodes_before, total = _size_and_mass(state.root)
     memo: dict[int, Edge] = {}
 
     def rebuild(node) -> Edge:
@@ -131,8 +117,7 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
 
     out, ow = rebuild(state.root[0])
     root = (out, state.root[1] * ow)
-    kept = squared_norm(root)
-    total = squared_norm(state.root)
+    nodes_after, kept = _size_and_mass(root)
     if kept == 0.0:
         raise ValueError("removal would annihilate the state")
     fidelity = kept / total
@@ -141,7 +126,7 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
     return RoundOutcome(state=new_state, round_fidelity=fidelity,
                         removed_mass=1.0 - fidelity,
                         nodes_before=nodes_before,
-                        nodes_after=new_state.node_count())
+                        nodes_after=nodes_after)
 
 
 def approximate_round(state: StateDD, f_round: float) -> RoundOutcome:

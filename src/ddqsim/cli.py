@@ -7,7 +7,8 @@ JSON (--stats), as a CSV row (--csv), as a full amplitude dump, or checked
 against a dense simulation (--verify, small circuits only).
 
 Exit codes: 0 success, 1 bad flags or parameters, 2 QASM parse error,
-3 resource guard hit (circuit too large for a requested expansion).
+3 resource guard hit (circuit too large for a requested expansion, or a
+register too deep for recursive gate application).
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ STATS_SCHEMA = {
     "additionalProperties": False,
     "required": ["benchmark", "mode", "num_qubits", "num_gates", "max_dd_size",
                  "final_dd_size", "rounds", "f_round", "fidelity_lower_bound",
-                 "node_trace", "planned_rounds", "final_threshold", "warnings",
+                 "node_trace", "planned_rounds", "warnings",
                  "wall_time_seconds", "runtime_seconds", "verify"],
     "properties": {
         "benchmark": {"type": "string"},
@@ -65,7 +66,6 @@ STATS_SCHEMA = {
         "fidelity_lower_bound": {"type": "number", "minimum": 0, "maximum": 1},
         "node_trace": {"type": "array", "items": {"type": "integer"}},
         "planned_rounds": {"type": ["integer", "null"]},
-        "final_threshold": {"type": ["integer", "null"]},
         "warnings": {"type": "array", "items": {"type": "string"}},
         "wall_time_seconds": {"type": "number"},
         "runtime_seconds": {"type": "number"},

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -439,25 +438,10 @@ class StateDD:
 
     def node_count(self) -> int:
         """Number of distinct non-terminal nodes reachable from the root."""
-        root, w = self.root
-        if w == 0 or root is TERMINAL:
-            return 0
-        seen = {id(root)}
-        stack = [root]
-        count = 0
-        while stack:
-            node = stack.pop()
-            count += 1
-            for target, ew in (node.low, node.high):
-                if ew != 0 and target is not TERMINAL:
-                    i = id(target)
-                    if i not in seen:
-                        seen.add(i)
-                        stack.append(target)
-        return count
+        return sum(map(len, levels(self.root)))
 
     def norm(self) -> float:
-        """Euclidean norm of the represented vector, computed recursively."""
+        """Euclidean norm of the represented vector."""
         return squared_norm(self.root) ** 0.5
 
     def __repr__(self) -> str:
@@ -469,21 +453,49 @@ def _check_bits(bits: str, num_qubits: int) -> None:
         raise ValueError(f"expected a bitstring of length {num_qubits}, got {bits!r}")
 
 
-def reachable_nodes(root: Edge) -> Iterator[VNode]:
-    """All non-terminal nodes reachable from ``root``, in DFS preorder."""
-    if root[0] is TERMINAL or root[1] == 0:
-        return
-    seen: set[int] = set()
-    stack = [root[0]]
+def levels(root: Edge) -> list[list[VNode]]:
+    """Nodes reachable from ``root``, bucketed by level, root level first.
+
+    Every nonzero edge descends one level, so the buckets in order put
+    parents before children.  Within a bucket, nodes keep the order in which
+    a depth-first walk (low pushed before high, marked when popped) first
+    reaches them: masses over shared nodes are summed in that order, which
+    decides near-ties between removal candidates.
+    """
+    node, w = root
+    if w == 0 or node is TERMINAL:
+        return []
+    top = node.level
+    buckets: list[list[VNode]] = [[] for _ in range(top + 1)]
+    seen: set[VNode] = set()
+    stack = [node]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
-        yield node
-        for e in (node.high, node.low):
-            if e[1] != 0 and e[0] is not TERMINAL:
-                stack.append(e[0])
+        seen.add(node)
+        buckets[top - node.level].append(node)
+        child, cw = node.low
+        if cw != 0 and child is not TERMINAL:
+            stack.append(child)
+        child, cw = node.high
+        if cw != 0 and child is not TERMINAL:
+            stack.append(child)
+    return buckets
+
+
+def level_norms(buckets: list[list[VNode]]) -> dict[int, float]:
+    """:func:`subtree_norms` over the result of :func:`levels`, bottom-up."""
+    norms: dict[int, float] = {}
+    for bucket in reversed(buckets):
+        for node in bucket:
+            got = 0.0
+            for target, w in (node.low, node.high):
+                if w != 0:
+                    got += (w.real * w.real + w.imag * w.imag) * \
+                        (1.0 if target is TERMINAL else norms[id(target)])
+            norms[id(node)] = got
+    return norms
 
 
 def subtree_norms(root: Edge) -> dict[int, float]:
@@ -492,23 +504,7 @@ def subtree_norms(root: Edge) -> dict[int, float]:
     The value excludes the incoming edge weight; the terminal's implicit
     value is 1 and is not part of the map.
     """
-    norms: dict[int, float] = {}
-
-    def rec(node) -> float:
-        if node is TERMINAL:
-            return 1.0
-        got = norms.get(id(node))
-        if got is None:
-            got = 0.0
-            for target, w in (node.low, node.high):
-                if w != 0:
-                    got += (w.real * w.real + w.imag * w.imag) * rec(target)
-            norms[id(node)] = got
-        return got
-
-    if root[1] != 0:
-        rec(root[0])
-    return norms
+    return level_norms(levels(root))
 
 
 def squared_norm(root: Edge) -> float:

@@ -15,7 +15,7 @@ node.  Addition caches are keyed on the weight ratio of the operands, so
 from __future__ import annotations
 
 from .circuit import Gate, gate_matrix
-from .dd import TERMINAL, ZERO, Context, Edge, StateDD
+from .dd import TERMINAL, ZERO, CapacityError, Context, Edge, StateDD
 
 
 def gate_dd(ctx: Context, gate: Gate) -> Edge:
@@ -89,7 +89,13 @@ def apply(state: StateDD, gate: Gate) -> StateDD:
     if any(q < 0 or q >= state.num_qubits for q in qs):
         raise ValueError(f"gate {gate.kind} addresses a qubit outside the register")
     mroot, mw = gate_dd(ctx, gate)
-    out, ow = _mv(ctx, mroot, state.root[0])
+    try:
+        out, ow = _mv(ctx, mroot, state.root[0])
+    except RecursionError as e:
+        # _mv recurses once per level above the gate's lowest touched qubit.
+        raise CapacityError(
+            f"a {state.num_qubits}-qubit register is too deep for "
+            f"recursive gate application") from e
     w = ctx.weight(state.root[1] * mw * ow)
     return ctx.new_state((out, w), state.num_qubits)
 

@@ -34,6 +34,14 @@ def test_qasm_file_run(tmp_path, capsys):
     assert "oracle_fidelity=1" in out
 
 
+
+def test_deep_register_is_a_capacity_error(capsys):
+    code, _, err = run(capsys, "--gen", "ghz", "1200")
+    assert code == 3
+    assert err.startswith("simulate: capacity:")
+    assert "Traceback" not in err
+
+
 def test_stats_json_matches_schema(tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     code, out, _ = run(capsys, "--gen", "supremacy", "2", "3", "4", "7",
@@ -45,7 +53,6 @@ def test_stats_json_matches_schema(tmp_path, capsys):
     jsonschema.validate(payload, STATS_SCHEMA)
     assert payload["mode"] == "memory"
     assert payload["f_round"] == 0.98
-    assert payload["final_threshold"] == 10
     assert len(payload["node_trace"]) == payload["num_gates"]
     assert payload["verify"]["oracle_fidelity"] >= \
         payload["fidelity_lower_bound"] - 1e-9

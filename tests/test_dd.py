@@ -1,11 +1,12 @@
 """Core diagram tests: canonical construction, lookups, round trips, GC."""
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
-                       Context, reachable_nodes, squared_norm, subtree_norms)
+                       Context, levels, squared_norm, subtree_norms)
 from ddqsim.oracle import random_state
 
 
@@ -145,7 +146,7 @@ def test_largest_outgoing_weight_has_unit_magnitude():
     ctx = Context()
     for seed in range(20):
         s = _random_dd(ctx, 6, seed)
-        for node in reachable_nodes(s.root):
+        for node in chain.from_iterable(levels(s.root)):
             top = max(abs(node.low[1]), abs(node.high[1]))
             assert abs(top - 1.0) < 1e-12
 
@@ -165,7 +166,7 @@ def test_zero_edges_are_terminal_stubs():
         v[::3] = 0
         v /= np.linalg.norm(v)
         s = ctx.from_dense(v)
-        for node in reachable_nodes(s.root):
+        for node in chain.from_iterable(levels(s.root)):
             for target, w in (node.low, node.high):
                 if w == 0:
                     assert target is TERMINAL
@@ -182,6 +183,11 @@ def test_node_count_upper_bound_and_sharing():
     for seed in range(20):
         s = _random_dd(ctx, 5, seed)
         assert s.node_count() <= 2 ** 5 - 1
+        buckets = levels(s.root)
+        assert [{n.level for n in b} for b in buckets] == \
+            [{4}, {3}, {2}, {1}, {0}]
+        nodes = list(chain.from_iterable(buckets))
+        assert len(set(nodes)) == len(nodes) == s.node_count()
     # positive-real proportional halves share one node
     v = np.array([1, 2, 3, 4, 2, 4, 6, 8], dtype=complex)
     v /= np.linalg.norm(v)
@@ -254,7 +260,7 @@ def test_collect_garbage_returns_removed_count():
 def test_weight_table_rebuild_preserves_live_weights():
     ctx = Context()
     s = ctx.from_dense(random_state(5, seed=9))
-    live = {node.low[1] for node in reachable_nodes(s.root)}
+    live = {node.low[1] for node in chain.from_iterable(levels(s.root))}
     ctx._rebuild_weight_tables()
     for w in live:
         if w != 0:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ddqsim.circuit import Circuit, Gate, gen_ghz, gen_shor_period
+from ddqsim.circuit import (Circuit, Gate, gen_ghz, gen_shor_period,
+                            gen_supremacy)
 from ddqsim.oracle import dense_fidelity, dense_simulate
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
                                even_positions, marker_positions, plan_rounds,
@@ -99,7 +100,6 @@ def test_memory_high_threshold_is_exact():
         circ, MemoryDrivenConfig(threshold=10 ** 6, f_round=0.9))
     assert stats_m.rounds == []
     assert stats_m.fidelity_lower_bound == 1.0
-    assert stats_m.final_threshold == 10 ** 6
     assert np.allclose(state_m.to_dense(), state_e.to_dense(), atol=1e-12)
 
 
@@ -160,6 +160,57 @@ def test_memory_config_validation():
         simulate_memory_driven(circ, MemoryDrivenConfig(threshold=0, f_round=0.9))
     with pytest.raises(ValueError):
         simulate_memory_driven(circ, MemoryDrivenConfig(threshold=5, f_round=0.0))
+
+
+
+# (after_gate, nodes_before, nodes_after, round_fidelity) of every round of
+# gen_supremacy(3, 4, 6, 100) at threshold 500 and f_round 0.99.  Near-tie
+# victims depend on the order in which prefix masses of shared nodes are
+# summed, so any change to the contribution walk shows up here.
+GRID_ROUNDS = [
+    (50, 567, 491, 0.992181403056717),
+    (51, 796, 744, 0.9925037762554478),
+    (52, 845, 801, 0.9903259724546464),
+    (53, 800, 772, 0.9917981733555252),
+    (54, 772, 745, 0.994977723795272),
+    (55, 745, 728, 0.9907834564135423),
+    (56, 728, 712, 0.9910288603748167),
+    (57, 1784, 1668, 0.9917514207335686),
+    (58, 2140, 1921, 0.9942710662945898),
+    (59, 2544, 2381, 0.9915070833027153),
+    (60, 2700, 2560, 0.9911486148718675),
+    (61, 2560, 2464, 0.993552866457672),
+    (62, 2464, 2374, 0.994084996826647),
+    (63, 2374, 2297, 0.9941142262424381),
+    (64, 2353, 2251, 0.9925581605439959),
+    (65, 2379, 2283, 0.9919295598016048),
+    (66, 2349, 2262, 0.9904967709646937),
+    (67, 2315, 2226, 0.9916210128730233),
+    (68, 2226, 2158, 0.9929615124440038),
+    (69, 2158, 2103, 0.9936966890629716),
+    (70, 2103, 2059, 0.9931815930189208),
+]
+
+
+def test_memory_round_records_are_pinned():
+    _, stats = simulate_memory_driven(gen_supremacy(3, 4, 6, 100),
+                                      MemoryDrivenConfig(500, 0.99))
+    assert len(stats.rounds) == len(GRID_ROUNDS)
+    for r, (after, before, after_nodes, fid) in zip(stats.rounds, GRID_ROUNDS):
+        assert (r.after_gate, r.trigger, r.nodes_before, r.nodes_after) == \
+            (after, "threshold", before, after_nodes)
+        assert r.round_fidelity == pytest.approx(fid, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the product of round fidelities is exact only for one round or nested "
+    "rounds with no gates between them; here it is 0.72237 while the "
+    "realized fidelity is 0.71976"))
+def test_memory_bound_holds_with_gates_between_rounds():
+    circ = gen_supremacy(3, 4, 8, 11)
+    state, stats = simulate_memory_driven(circ, MemoryDrivenConfig(500, 0.99))
+    fid = dense_fidelity(dense_simulate(circ), state.to_dense())
+    assert fid >= stats.fidelity_lower_bound - 1e-9
 
 
 # -- fidelity-driven driver ------------------------------------------------------
