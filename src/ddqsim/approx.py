@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dd import Edge, StateDD, TERMINAL, VNode, level_norms, levels
+from .dd import (CapacityError, Edge, StateDD, TERMINAL, VNode, level_norms,
+                 levels)
 
 
 @dataclass
@@ -78,7 +79,8 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
     The rebuild walks the diagram once: victim subtrees become zero stubs,
     parents whose children all vanish collapse, everything else is re-made
     bottom-up (hash-consing re-shares surviving structure).  Raises
-    ValueError if the root is a victim or nothing would survive.
+    ValueError if the root is a victim or nothing would survive, and
+    CapacityError if the register is too deep for the recursive rebuild.
     """
     ctx = state.context
     victim_ids = {id(v) for v in victims}
@@ -115,7 +117,14 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
             memo[id(node)] = got
         return got
 
-    out, ow = rebuild(state.root[0])
+    try:
+        out, ow = rebuild(state.root[0])
+    except RecursionError as e:
+        # rebuild recurses once per level; it stays recursive because its
+        # node creation order fixes uids and canonical weights.
+        raise CapacityError(
+            f"a {state.num_qubits}-qubit register is too deep for the "
+            f"recursive rebuild") from e
     root = (out, state.root[1] * ow)
     nodes_after, kept = _size_and_mass(root)
     if kept == 0.0:

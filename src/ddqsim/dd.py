@@ -20,11 +20,13 @@ Conventions pinned here and relied on by every other module:
   to the level where they occur, sub-vectors that agree up to a positive real
   factor share one node, and states built from vectors carry a non-negative
   real root weight.
-* Outgoing weights are canonicalized: values within ``EPS`` of an already
-  stored weight (component-wise) map to that stored value, so the unique
-  table cannot fill up with near-duplicates produced by rounding.  Incoming
-  scale factors stay raw; they are re-canonicalized wherever they next feed
-  a node.
+* Outgoing weights are canonicalized on a grid of cell size ``EPS`` per
+  component: one table maps each occupied cell to the value first stored
+  there, and later values within ``EPS`` of it (component-wise) map to that
+  stored value, so the unique table cannot fill up with near-duplicates
+  produced by rounding.  Every garbage collection rebuilds the table from
+  the weights of the surviving nodes.  Incoming scale factors stay raw; they
+  are re-canonicalized wherever they next feed a node.
 * Index convention: bitstring ``b_{n-1}...b_0`` (qubit ``n-1`` written first)
   maps to the integer index with ``b_{n-1}`` most significant.
 
@@ -47,9 +49,12 @@ DENSE_QUBIT_LIMIT = 20
 #: Default number of slots in each bounded operation cache (power of two).
 DEFAULT_COMPUTE_TABLE_SIZE = 1 << 20
 
-#: Weight-table entry count above which garbage collection rebuilds the
-#: canonicalization tables from live nodes.
-WEIGHT_TABLE_LIMIT = 1 << 20
+#: Adding and then subtracting ``_SNAP`` rounds both components of a complex
+#: to integers, ties to even, exactly as ``round()`` does, for components of
+#: magnitude below ``_SNAP_LIMIT``: the sums then lie in [2**52, 2**53),
+#: where floats are spaced exactly 1 apart.
+_SNAP = complex(1.5 * 2 ** 52, 1.5 * 2 ** 52)
+_SNAP_LIMIT = 2.0 ** 51
 
 #: Edges are (target, weight) tuples; this alias is for signatures only.
 Edge = tuple
@@ -57,6 +62,19 @@ Edge = tuple
 
 class CapacityError(RuntimeError):
     """An operation would exceed a hard size guard."""
+
+
+def _cell(z: complex) -> complex:
+    """Weight-grid cell of ``z``: ``complex(round(re / EPS), round(im / EPS))``.
+
+    The snapped sum is one complex allocation where ``round()`` builds two
+    ints; components of ``z`` beyond ``_SNAP_LIMIT * EPS`` (about 225) take
+    the ``round()`` form.
+    """
+    k = z / EPS + _SNAP - _SNAP
+    if -_SNAP_LIMIT < k.real < _SNAP_LIMIT and -_SNAP_LIMIT < k.imag < _SNAP_LIMIT:
+        return k
+    return complex(round(z.real / EPS), round(z.imag / EPS))
 
 
 class Terminal:
@@ -154,8 +172,8 @@ class Context:
         if compute_table_size is None:
             compute_table_size = int(os.environ.get(
                 "DDQSIM_COMPUTE_TABLE_SIZE", DEFAULT_COMPUTE_TABLE_SIZE))
+        # Weight-grid cell (see _cell) -> canonical weight stored for it.
         self._weights: dict[complex, complex] = {}
-        self._buckets: dict[tuple[int, int], complex] = {}
         self._vtable: dict = {}
         self._mtable: dict = {}
         self._next_uid = 1
@@ -170,34 +188,24 @@ class Context:
     def weight(self, z: complex) -> complex:
         """Return the canonical stored weight for ``z``.
 
-        Values are snapped onto a grid of cell size ``EPS`` per component:
-        queries landing in an occupied cell within ``EPS`` of its stored
-        value reuse that value, so float dust from normalization collapses
-        onto one representative.  Values straddling a cell boundary may
-        stay distinct; that costs a missed node merge, never a wrong
-        amplitude.
+        Values within ``EPS`` of zero in both components become exact zero.
+        Others are snapped onto a grid of cell size ``EPS`` per component:
+        a query within ``EPS`` of the value stored for its cell reuses that
+        value, so float dust from normalization collapses onto one
+        representative; otherwise the query's own value is stored for the
+        cell.  Values straddling a cell boundary may stay distinct; that
+        costs a missed node merge, never a wrong amplitude.  The table keeps
+        the cells met since the last :meth:`collect_garbage`, plus the
+        weights of the nodes that survived it.
         """
-        w = self._weights.get(z)
-        if w is not None:
-            return w
         re = z.real
         im = z.imag
         if -EPS <= re <= EPS and -EPS <= im <= EPS:
-            w = 0j
-        else:
-            w = self._bucket_lookup(re, im)
-        self._weights[z] = w
-        return w
-
-    def _bucket_lookup(self, re: float, im: float) -> complex:
-        key = (round(re / EPS), round(im / EPS))
-        buckets = self._buckets
-        cand = buckets.get(key)
-        if cand is not None and abs(cand.real - re) <= EPS \
-                and abs(cand.imag - im) <= EPS:
-            return cand
-        w = complex(re, im)
-        buckets[key] = w
+            return 0j
+        key = _cell(z)
+        w = self._weights.get(key)
+        if w is None or abs(w.real - re) > EPS or abs(w.imag - im) > EPS:
+            w = self._weights[key] = complex(re, im)
         return w
 
     # -- node construction ----------------------------------------------
@@ -217,15 +225,32 @@ class Context:
         m = ml if ml >= mh else mh
         if m <= EPS:
             return ZERO
+        # self.weight(wl / m) and self.weight(wh / m), inlined: this runs
+        # for every node built.  Both quotients have components of magnitude
+        # at most 1, so the snapped cell key needs no range check.
         weights = self._weights
         z = wl / m
-        nlw = weights.get(z)
-        if nlw is None:
-            nlw = self.weight(z)
+        re = z.real
+        im = z.imag
+        if -EPS <= re <= EPS and -EPS <= im <= EPS:
+            nlw = 0j
+        else:
+            key = z / EPS + _SNAP - _SNAP
+            nlw = weights.get(key)
+            if nlw is None or abs(nlw.real - re) > EPS \
+                    or abs(nlw.imag - im) > EPS:
+                nlw = weights[key] = complex(re, im)
         z = wh / m
-        nhw = weights.get(z)
-        if nhw is None:
-            nhw = self.weight(z)
+        re = z.real
+        im = z.imag
+        if -EPS <= re <= EPS and -EPS <= im <= EPS:
+            nhw = 0j
+        else:
+            key = z / EPS + _SNAP - _SNAP
+            nhw = weights.get(key)
+            if nhw is None or abs(nhw.real - re) > EPS \
+                    or abs(nhw.imag - im) > EPS:
+                nhw = weights[key] = complex(re, im)
         lt = TERMINAL if nlw == 0 else low[0]
         ht = TERMINAL if nhw == 0 else high[0]
         key = (level, lt, nlw, ht, nhw)
@@ -274,11 +299,15 @@ class Context:
         """Drop all vector nodes with zero references; returns the count.
 
         Operation caches are cleared first so they cannot resurrect entries
-        that mention reclaimed nodes.  Matrix nodes (gate diagrams) persist
-        for the lifetime of the context; they are few and heavily shared.
+        that mention reclaimed nodes.  Gate diagrams (the matrix nodes and
+        ``gate_dds``) are dropped as well and rebuilt on demand, so a long
+        run of distinct parametric gates cannot grow them without bound.
+        Finally the weight table is rebuilt from the surviving nodes.
         """
         self.apply_cache.clear()
         self.add_cache.clear()
+        self.gate_dds.clear()
+        self._mtable.clear()
         dead = [n for n in self._vtable.values() if n.ref == 0]
         removed = 0
         vtable = self._vtable
@@ -293,38 +322,30 @@ class Context:
                     child.ref -= 1
                     if child.ref == 0:
                         dead.append(child)
-        if len(self._weights) > WEIGHT_TABLE_LIMIT:
-            self._rebuild_weight_tables()
+        self._rebuild_weight_tables()
         return removed
 
     def _rebuild_weight_tables(self) -> None:
-        """Shrink the weight tables to the values stored in live nodes.
+        """Shrink the weight table to the unit seeds and the stored weights.
 
-        The exact-value memo and the bucket grid otherwise grow with every
-        distinct raw weight ever canonicalized, which on low-redundancy
-        circuits means millions of entries.  Weights still stored in nodes
-        keep their identity across the rebuild, so snapping stays stable for
-        everything alive; dropped values simply re-canonicalize on next use.
+        Between collections the table gains a cell for every distinct
+        weight canonicalized, which on low-redundancy circuits means far
+        more cells than the live diagram uses.  Each weight still stored in
+        a node keeps its cell and its identity, so snapping stays stable
+        for everything alive; a cell held only by reclaimed nodes is
+        forgotten and may take a new representative within ``EPS`` on its
+        next use.
         """
-        weights: dict[complex, complex] = {}
-        buckets: dict[tuple[int, int], complex] = {}
-        def keep(w: complex) -> None:
-            if w != 0 and w not in weights:
-                weights[w] = w
-                key = (round(w.real / EPS), round(w.imag / EPS))
-                if key not in buckets:
-                    buckets[key] = w
         old = self._weights
+        weights: dict[complex, complex] = {}
         for seed in (1 + 0j, -1 + 0j, 1j, -1j):
-            keep(old.get(seed, seed))
+            key = _cell(seed)
+            weights[key] = old.get(key, seed)
         for node in self._vtable.values():
-            keep(node.low[1])
-            keep(node.high[1])
-        for mnode in self._mtable.values():
-            for _, w in mnode.edges:
-                keep(w)
+            for w in (node.low[1], node.high[1]):
+                if w != 0:
+                    weights.setdefault(_cell(w), w)
         self._weights = weights
-        self._buckets = buckets
 
     def unique_table_size(self) -> int:
         """Number of vector nodes currently stored (live or not)."""

@@ -226,7 +226,14 @@ def inner_product(a: StateDD, b: StateDD) -> complex:
     wb = b.root[1]
     if wa == 0 or wb == 0:
         return 0j
-    return complex(wa.conjugate() * wb * rec(a.root[0], b.root[0]))
+    try:
+        ip = rec(a.root[0], b.root[0])
+    except RecursionError as e:
+        # rec recurses once per level, like _mv.
+        raise CapacityError(
+            f"a {a.num_qubits}-qubit register is too deep for the "
+            f"recursive inner product") from e
+    return complex(wa.conjugate() * wb * ip)
 
 
 def fidelity(a: StateDD, b: StateDD) -> float:

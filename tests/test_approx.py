@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ddqsim.approx import approximate_round, node_contributions, remove_nodes
-from ddqsim.dd import Context, TERMINAL
+from ddqsim.dd import CapacityError, Context, TERMINAL
 from ddqsim.oracle import (dense_fidelity, path_contributions, random_state,
                            truncate_dense)
 
@@ -95,6 +95,12 @@ def test_remove_nothing_is_identity():
     assert outcome.round_fidelity == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(outcome.state.to_dense(), state.to_dense(), atol=1e-12)
     assert outcome.nodes_before == outcome.nodes_after
+
+
+def test_deep_rebuild_is_a_capacity_error():
+    state = Context().make_basis_state(1200, "0" * 1200)
+    with pytest.raises(CapacityError):
+        remove_nodes(state, [])
 
 
 def test_remove_root_rejected():

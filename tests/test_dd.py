@@ -4,10 +4,14 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
-                       Context, levels, squared_norm, subtree_norms)
-from ddqsim.oracle import random_state
+                       Context, _cell, levels, squared_norm, subtree_norms)
+from ddqsim.ops import apply
+from ddqsim.oracle import dense_simulate, random_state
+
+from conftest import random_circuit
 
 
 # -- weight canonicalization ----------------------------------------------
@@ -265,6 +269,41 @@ def test_weight_table_rebuild_preserves_live_weights():
     for w in live:
         if w != 0:
             assert ctx.weight(complex(w)) is w
+
+
+# Cell-key components: ordinary magnitudes, exact half-way ties between two
+# cells (ties round to even), and magnitudes on both sides of 2**51 * EPS,
+# past which the snapped sum no longer rounds like round() and _cell falls
+# back to it.
+_component = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.integers(-10 ** 9, 10 ** 9).map(lambda k: (k + 0.5) * EPS),
+    st.floats(2 ** 49 * EPS, 2 ** 54 * EPS).flatmap(
+        lambda x: st.sampled_from((x, -x))),
+    st.floats(-1e9, 1e9))
+
+
+@given(re=_component, im=_component)
+@example(re=2.5 * EPS, im=-3.5 * EPS)
+@example(re=(2 ** 51 + 3) * EPS, im=-(2 ** 51 + 3) * EPS)
+def test_cell_key_matches_round(re, im):
+    assert _cell(complex(re, im)) == complex(round(re / EPS), round(im / EPS))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_gc_after_every_gate_matches_dense_oracle(seed):
+    circ = random_circuit(5, 25, seed)
+    ctx = Context()
+    state = ctx.make_basis_state(5, "0" * 5)
+    for gate in circ.ops:
+        nxt = apply(state, gate)
+        state.release()
+        state = nxt
+        ctx.collect_garbage()
+        # One live state: at most two weights per node, plus the unit seeds.
+        assert len(ctx._weights) <= 2 * state.node_count() + 4
+    assert np.abs(state.to_dense() - dense_simulate(circ)).max() < 1e-9
 
 
 # -- bounded operation caches ----------------------------------------------

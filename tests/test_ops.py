@@ -1,11 +1,12 @@
 """Gate application, inner products, and their dense cross-checks."""
 import math
+import random
 
 import numpy as np
 import pytest
 
 from ddqsim.circuit import FIXED_KINDS, ANGLE_KINDS, Circuit, Gate
-from ddqsim.dd import Context, TERMINAL
+from ddqsim.dd import CapacityError, Context, TERMINAL
 from ddqsim.ops import apply, fidelity, gate_dd, inner_product
 from ddqsim.oracle import _apply_dense, dense_fidelity, dense_simulate, random_state
 
@@ -105,6 +106,24 @@ def test_gate_dd_cached_per_gate_value():
     assert r1[0] is not r2[0] or r1[1] != r2[1]
 
 
+def test_collect_garbage_drops_gate_dds():
+    rng = random.Random(5)
+    ops = [Gate("H", (q,)) for q in range(4)]
+    ops += [Gate("RZ", (rng.randrange(4),), angle=rng.uniform(-math.pi, math.pi))
+            for _ in range(5000)]
+    ctx = Context()
+    state = ctx.make_basis_state(4, "0000")
+    for gate in ops:
+        nxt = apply(state, gate)
+        state.release()
+        state = nxt
+    ctx.collect_garbage()
+    assert ctx.gate_dds == {} and ctx._mtable == {}
+    ops.append(Gate("H", (2,)))
+    state = apply(state, ops[-1])
+    assert np.abs(state.to_dense() - dense_simulate(Circuit(4, ops))).max() < 1e-9
+
+
 def test_gate_dd_skips_untouched_levels():
     ctx = Context()
     root, _ = gate_dd(ctx, Gate("Z", (5,), controls=(2,)))
@@ -160,6 +179,12 @@ def test_inner_product_size_mismatch():
     b = ctx.make_basis_state(4, "0000")
     with pytest.raises(ValueError):
         inner_product(a, b)
+
+
+def test_deep_inner_product_is_a_capacity_error():
+    state = Context().make_basis_state(1200, "0" * 1200)
+    with pytest.raises(CapacityError):
+        fidelity(state, state)
 
 
 def test_apply_rejects_bad_qubits():
