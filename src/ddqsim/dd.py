@@ -46,8 +46,12 @@ EPS = 1e-13
 #: Dense expansion is refused above this qubit count.
 DENSE_QUBIT_LIMIT = 20
 
-#: Default number of slots in each bounded operation cache (power of two).
-DEFAULT_COMPUTE_TABLE_SIZE = 1 << 20
+#: Default number of slots in each of ``Context.apply_cache`` and
+#: ``Context.add_cache`` (power of two).  Nothing in this package reads those
+#: tables: gate application memoizes per gate (see :mod:`ddqsim.ops`).  They
+#: remain only as slots the benchmark tracer swaps for counting tables, so
+#: they default to one slot each and cost no memory.
+DEFAULT_COMPUTE_TABLE_SIZE = 1
 
 #: Adding and then subtracting ``_SNAP`` rounds both components of a complex
 #: to integers, ties to even, exactly as ``round()`` does, for components of
@@ -155,7 +159,7 @@ class BoundedCache:
 
 
 class Context:
-    """Owner of the unique tables, weight table and operation caches.
+    """Owner of the unique tables, the weight table and the gate diagrams.
 
     All diagrams created through one context live in its tables; diagrams
     from different contexts must not be combined by operations that create
@@ -164,8 +168,11 @@ class Context:
     nodes are reclaimed only by an explicit :meth:`collect_garbage` call, so
     node counts observed between calls are reproducible.
 
-    The compute-table size comes from the ``DDQSIM_COMPUTE_TABLE_SIZE``
-    environment variable when not given explicitly.
+    Operations memoize in dicts of their own that live for one gate, not in
+    the context.  ``apply_cache`` and ``add_cache`` are unused bounded
+    tables, kept for the benchmark tracer that swaps them for counting
+    tables; ``compute_table_size`` (or the ``DDQSIM_COMPUTE_TABLE_SIZE``
+    environment variable when not given) only sizes them.
     """
 
     def __init__(self, compute_table_size: int | None = None):
@@ -177,6 +184,7 @@ class Context:
         self._vtable: dict = {}
         self._mtable: dict = {}
         self._next_uid = 1
+        # Not read by this package; see DEFAULT_COMPUTE_TABLE_SIZE.
         self.apply_cache = BoundedCache(compute_table_size)
         self.add_cache = BoundedCache(compute_table_size)
         self.gate_dds: dict = {}
@@ -298,14 +306,12 @@ class Context:
     def collect_garbage(self) -> int:
         """Drop all vector nodes with zero references; returns the count.
 
-        Operation caches are cleared first so they cannot resurrect entries
-        that mention reclaimed nodes.  Gate diagrams (the matrix nodes and
-        ``gate_dds``) are dropped as well and rebuilt on demand, so a long
-        run of distinct parametric gates cannot grow them without bound.
-        Finally the weight table is rebuilt from the surviving nodes.
+        No operation memo outlives its gate, so none can mention a reclaimed
+        node.  Gate diagrams (the matrix nodes and ``gate_dds``) are dropped
+        as well and rebuilt on demand, so a long run of distinct parametric
+        gates cannot grow them without bound.  Finally the weight table is
+        rebuilt from the surviving nodes.
         """
-        self.apply_cache.clear()
-        self.add_cache.clear()
         self.gate_dds.clear()
         self._mtable.clear()
         dead = [n for n in self._vtable.values() if n.ref == 0]
@@ -350,6 +356,43 @@ class Context:
     def unique_table_size(self) -> int:
         """Number of vector nodes currently stored (live or not)."""
         return len(self._vtable)
+
+    def check_invariants(self, *handles: "StateDD") -> None:
+        """Raise ``AssertionError`` unless the vector-node tables are sound.
+
+        ``handles`` must be every state handle still pinned in this context.
+        Checks that each stored node's ``ref`` equals its parent edges in
+        the unique table (live or dead) plus the handles rooted at it; that
+        each node is normalized, its larger outgoing magnitude within
+        ``2 * EPS`` of 1 (a canonical weight lies within ``EPS`` of the
+        normalized value in each component, so within ``sqrt(2) * EPS`` in
+        magnitude); that each unique-table key matches its node; and that
+        each nonzero stored weight is the value the weight table holds for
+        its cell, so ``weight(w)`` returns ``w``.  A test aid: it walks
+        every table and changes nothing.
+        """
+        expected: dict[VNode, int] = {node: 0 for node in self._vtable.values()}
+        for state in handles:
+            if state.root[0] is not TERMINAL:
+                expected[state.root[0]] += 1
+        for key, node in self._vtable.items():
+            nl = node.low
+            nh = node.high
+            if key != (node.level, nl[0], nl[1], nh[0], nh[1]):
+                raise AssertionError(f"unique-table key {key} does not match {node}")
+            m = max(abs(nl[1]), abs(nh[1]))
+            if abs(m - 1.0) > 2 * EPS:
+                raise AssertionError(f"{node} is not normalized: max weight {m!r}")
+            for child, w in (nl, nh):
+                if child is not TERMINAL:
+                    expected[child] += 1
+                if w != 0 and self._weights.get(_cell(w)) != w:
+                    raise AssertionError(f"{node} stores non-canonical weight {w!r}")
+        for node, refs in expected.items():
+            if node.ref != refs:
+                raise AssertionError(
+                    f"{node} has ref {node.ref}, expected {refs} from its "
+                    f"parents and pinned handles")
 
     # -- state construction ----------------------------------------------
 

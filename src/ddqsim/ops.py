@@ -6,11 +6,13 @@ the fly).  Matrix diagrams are built from a sparse ``(row, col) -> weight``
 map over the touched qubits with controls folded in as diagonal blocks, so
 one code path covers plain, controlled and permutation gates.
 
-Matrix-vector products and sums are memoized in the owning context's bounded
-caches; entries are keyed by node identity, which is sound because nodes are
-hash-consed and caches are flushed whenever garbage collection might free a
-node.  Addition caches are keyed on the weight ratio of the operands, so
-``a + c*b`` is shared across common rescalings.
+Matrix-vector products and sums are memoized per operation: :func:`apply`
+builds two fresh dicts for each gate, passes them down the recursion and
+drops them when it returns.  Entries are keyed by the node objects, which is
+sound because nodes are hash-consed and no garbage collection runs inside a
+gate.  Addition memos are keyed on the weight ratio of the operands, so
+``a + c*b`` is shared across common rescalings.  Results reused across gates
+saved almost nothing, so no compute table outlives its gate.
 """
 from __future__ import annotations
 
@@ -90,7 +92,7 @@ def apply(state: StateDD, gate: Gate) -> StateDD:
         raise ValueError(f"gate {gate.kind} addresses a qubit outside the register")
     mroot, mw = gate_dd(ctx, gate)
     try:
-        out, ow = _mv(ctx, mroot, state.root[0])
+        out, ow = _mv(ctx, mroot, state.root[0], {}, {})
     except RecursionError as e:
         # _mv recurses once per level above the gate's lowest touched qubit.
         raise CapacityError(
@@ -100,16 +102,18 @@ def apply(state: StateDD, gate: Gate) -> StateDD:
     return ctx.new_state((out, w), state.num_qubits)
 
 
-def _mv(ctx: Context, m, v) -> Edge:
+def _mv(ctx: Context, m, v, memo: dict, add_memo: dict) -> Edge:
     """Product of a matrix node and a vector node, both weight-stripped.
 
-    The branches are unrolled by hand: this function dominates simulation
-    time, so it avoids loops and intermediate sequences on purpose.
+    ``memo`` holds the products and ``add_memo`` the sums (see :func:`_add`)
+    already computed for the current gate.  The branches are unrolled by
+    hand: this function dominates simulation time, so it avoids loops and
+    intermediate sequences on purpose.
     """
     if m is TERMINAL:
         return (v, 1.0)
-    key = (id(m), id(v))
-    got = ctx.apply_cache.get(key)
+    key = (m, v)
+    got = memo.get(key)
     if got is not None:
         return got
     vl = v.low
@@ -120,13 +124,13 @@ def _mv(ctx: Context, m, v) -> Edge:
         if w == 0:
             low = ZERO
         else:
-            sub, sw = _mv(ctx, m, vl[0])
+            sub, sw = _mv(ctx, m, vl[0], memo, add_memo)
             low = (sub, w * sw)
         w = vh[1]
         if w == 0:
             high = ZERO
         else:
-            sub, sw = _mv(ctx, m, vh[0])
+            sub, sw = _mv(ctx, m, vh[0], memo, add_memo)
             high = (sub, w * sw)
     else:
         e00, e01, e10, e11 = m.edges
@@ -136,31 +140,34 @@ def _mv(ctx: Context, m, v) -> Edge:
         if mw == 0 or wl == 0:
             low = ZERO
         else:
-            sub, sw = _mv(ctx, e00[0], vl[0])
+            sub, sw = _mv(ctx, e00[0], vl[0], memo, add_memo)
             low = (sub, mw * wl * sw)
         mw = e01[1]
         if mw != 0 and wh != 0:
-            sub, sw = _mv(ctx, e01[0], vh[0])
+            sub, sw = _mv(ctx, e01[0], vh[0], memo, add_memo)
             term = (sub, mw * wh * sw)
-            low = term if low[1] == 0 else _add(ctx, low, term)
+            low = term if low[1] == 0 else _add(ctx, low, term, add_memo)
         mw = e10[1]
         if mw == 0 or wl == 0:
             high = ZERO
         else:
-            sub, sw = _mv(ctx, e10[0], vl[0])
+            sub, sw = _mv(ctx, e10[0], vl[0], memo, add_memo)
             high = (sub, mw * wl * sw)
         mw = e11[1]
         if mw != 0 and wh != 0:
-            sub, sw = _mv(ctx, e11[0], vh[0])
+            sub, sw = _mv(ctx, e11[0], vh[0], memo, add_memo)
             term = (sub, mw * wh * sw)
-            high = term if high[1] == 0 else _add(ctx, high, term)
-    out = ctx.make_vnode(v.level, low, high)
-    ctx.apply_cache.put(key, out)
+            high = term if high[1] == 0 else _add(ctx, high, term, add_memo)
+    out = memo[key] = ctx.make_vnode(v.level, low, high)
     return out
 
 
-def _add(ctx: Context, a: Edge, b: Edge) -> Edge:
-    """Sum of two same-level vector edges (weights included)."""
+def _add(ctx: Context, a: Edge, b: Edge, memo: dict) -> Edge:
+    """Sum of two same-level vector edges (weights included).
+
+    ``memo`` maps ``(an, bn, ratio)`` to the normalized edge for
+    ``an + ratio*bn``, for the sums already computed in the current gate.
+    """
     aw = a[1]
     if aw == 0:
         return b
@@ -177,8 +184,8 @@ def _add(ctx: Context, a: Edge, b: Edge) -> Edge:
     ratio = bw / aw
     if ratio == 0:
         return (an, aw)
-    key = (id(an), id(bn), ratio)
-    got = ctx.add_cache.get(key)
+    key = (an, bn, ratio)
+    got = memo.get(key)
     if got is None:
         al = an.low
         bl = bn.low
@@ -188,7 +195,7 @@ def _add(ctx: Context, a: Edge, b: Edge) -> Edge:
         elif al[1] == 0:
             low = (bl[0], ratio * w)
         else:
-            low = _add(ctx, al, (bl[0], ratio * w))
+            low = _add(ctx, al, (bl[0], ratio * w), memo)
         ah = an.high
         bh = bn.high
         w = bh[1]
@@ -197,9 +204,8 @@ def _add(ctx: Context, a: Edge, b: Edge) -> Edge:
         elif ah[1] == 0:
             high = (bh[0], ratio * w)
         else:
-            high = _add(ctx, ah, (bh[0], ratio * w))
-        got = ctx.make_vnode(an.level, low, high)
-        ctx.add_cache.put(key, got)
+            high = _add(ctx, ah, (bh[0], ratio * w), memo)
+        got = memo[key] = ctx.make_vnode(an.level, low, high)
     return (got[0], got[1] * aw)
 
 

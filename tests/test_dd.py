@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ddqsim.circuit import gen_shor_period
 from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
                        Context, _cell, levels, squared_norm, subtree_norms)
 from ddqsim.ops import apply
 from ddqsim.oracle import dense_simulate, random_state
+from ddqsim.strategies import FidelityDrivenConfig, simulate_fidelity_driven
 
 from conftest import random_circuit
 
@@ -298,12 +300,53 @@ def test_gc_after_every_gate_matches_dense_oracle(seed):
     state = ctx.make_basis_state(5, "0" * 5)
     for gate in circ.ops:
         nxt = apply(state, gate)
+        ctx.check_invariants(state, nxt)
         state.release()
         state = nxt
         ctx.collect_garbage()
+        ctx.check_invariants(state)
         # One live state: at most two weights per node, plus the unit seeds.
         assert len(ctx._weights) <= 2 * state.node_count() + 4
     assert np.abs(state.to_dense() - dense_simulate(circ)).max() < 1e-9
+
+
+def test_invariants_hold_after_fidelity_driven_run():
+    ctx = Context()
+    state, stats = simulate_fidelity_driven(
+        gen_shor_period(15, 7), FidelityDrivenConfig(0.5, 0.9), ctx)
+    assert stats.rounds  # pruning rounds ran, and their rebuilds are checked
+    ctx.check_invariants(state)
+
+
+@pytest.mark.parametrize("how", ["ref", "key", "normalized", "non-canonical"])
+def test_check_invariants_detects_corruption(how):
+    ctx = Context()
+    state = ctx.from_dense(random_state(4, seed=3))
+    ctx.check_invariants(state)
+    node = state.root[0]
+    key = (node.level, *node.low, *node.high)
+    if how == "ref":
+        node.ref += 1
+    elif how == "key":
+        ctx._vtable[(node.level + 1, *key[1:])] = ctx._vtable.pop(key)
+    elif how == "normalized":
+        del ctx._vtable[key]
+        node.low = (node.low[0], node.low[1] * 0.5)
+        node.high = (node.high[0], node.high[1] * 0.5)
+        ctx._vtable[(node.level, *node.low, *node.high)] = node
+    else:
+        ctx._weights.clear()
+    with pytest.raises(AssertionError, match=how):
+        ctx.check_invariants(state)
+
+
+def test_check_invariants_needs_every_pinned_handle():
+    ctx = Context()
+    state = ctx.from_dense(random_state(4, seed=3))
+    with pytest.raises(AssertionError, match="ref"):
+        ctx.check_invariants()
+    state.release()
+    ctx.check_invariants()
 
 
 # -- bounded operation caches ----------------------------------------------

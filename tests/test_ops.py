@@ -124,6 +124,33 @@ def test_collect_garbage_drops_gate_dds():
     assert np.abs(state.to_dense() - dense_simulate(Circuit(4, ops))).max() < 1e-9
 
 
+@pytest.mark.parametrize("gate", [
+    Gate("H", (39,)),              # _add memo: both terms share one sub-diagram
+    Gate("T", (0,)),               # _mv memo through 39 untouched levels
+    Gate("X", (0,), controls=(39,)),
+], ids=lambda g: g.kind)
+def test_gate_memos_keep_work_linear_in_depth(gate):
+    n = 40
+    ctx = Context()
+    plus = ctx.make_basis_state(n, "0" * n)
+    for q in range(n):
+        plus = apply(plus, Gate("H", (q,)))
+    calls = [0]
+    make_vnode = ctx.make_vnode
+
+    def counting(*args):
+        # Without memos the shared |+> sub-diagrams are expanded once per
+        # path, about 2**40 calls: fail at the bound instead of running on.
+        calls[0] += 1
+        if calls[0] > 2 * n:
+            raise AssertionError(f"more than {2 * n} make_vnode calls")
+        return make_vnode(*args)
+
+    ctx.make_vnode = counting
+    out = apply(plus, gate)
+    assert out.node_count() <= 2 * n
+
+
 def test_gate_dd_skips_untouched_levels():
     ctx = Context()
     root, _ = gate_dd(ctx, Gate("Z", (5,), controls=(2,)))
