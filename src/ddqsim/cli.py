@@ -245,10 +245,14 @@ def main(argv=None) -> int:
             if amp != 0:
                 print(f"{index} {amp.real:.17g} {amp.imag:.17g}")
 
-    if args.stats:
-        Path(args.stats).write_text(json.dumps(payload, indent=2) + "\n")
-    if args.csv:
-        _append_csv(args.csv, args, stats, verify, runtime)
+    try:
+        if args.stats:
+            Path(args.stats).write_text(json.dumps(payload, indent=2) + "\n")
+        if args.csv:
+            _append_csv(args.csv, args, stats, verify, runtime)
+    except OSError as e:
+        print(f"simulate: error: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -29,13 +29,15 @@ Conventions pinned here and relied on by every other module:
   are re-canonicalized wherever they next feed a node.
 * Index convention: bitstring ``b_{n-1}...b_0`` (qubit ``n-1`` written first)
   maps to the integer index with ``b_{n-1}`` most significant.
+* Liveness: each :class:`StateDD` handle pins its root node, and
+  :meth:`Context.collect_garbage` keeps exactly the nodes that pinned roots
+  reach.  Nodes carry no reference counts.
 
 A :class:`Context` owns all tables and is meant for single-threaded use;
 independent contexts may run concurrently in separate threads or processes.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,14 +104,13 @@ ONE = (TERMINAL, 1.0 + 0j)
 class VNode:
     """Vector-diagram node: one qubit split into low/high sub-vectors."""
 
-    __slots__ = ("level", "low", "high", "uid", "ref")
+    __slots__ = ("level", "low", "high", "uid")
 
     def __init__(self, level: int, low: Edge, high: Edge, uid: int):
         self.level = level
         self.low = low
         self.high = high
         self.uid = uid
-        self.ref = 0
 
     def __repr__(self) -> str:
         return f"<q{self.level} #{self.uid}>"
@@ -118,13 +119,12 @@ class VNode:
 class MNode:
     """Matrix-diagram node: four successors ordered (row bit, column bit)."""
 
-    __slots__ = ("level", "edges", "uid", "ref")
+    __slots__ = ("level", "edges", "uid")
 
     def __init__(self, level: int, edges: tuple, uid: int):
         self.level = level
         self.edges = edges
         self.uid = uid
-        self.ref = 0
 
     def __repr__(self) -> str:
         return f"<m{self.level} #{self.uid}>"
@@ -163,25 +163,23 @@ class Context:
 
     All diagrams created through one context live in its tables; diagrams
     from different contexts must not be combined by operations that create
-    nodes.  Nodes are reference counted: every stored parent edge counts one
-    reference, and public handles (:class:`StateDD`) pin their root.  Dead
-    nodes are reclaimed only by an explicit :meth:`collect_garbage` call, so
-    node counts observed between calls are reproducible.
+    nodes.  Public handles (:class:`StateDD`) pin their root node; nodes no
+    pinned root reaches are reclaimed only by an explicit
+    :meth:`collect_garbage` call, so node counts observed between calls are
+    reproducible.
 
     Operations memoize in dicts of their own that live for one gate, not in
     the context.  ``apply_cache`` and ``add_cache`` are unused bounded
     tables, kept for the benchmark tracer that swaps them for counting
-    tables; ``compute_table_size`` (or the ``DDQSIM_COMPUTE_TABLE_SIZE``
-    environment variable when not given) only sizes them.
+    tables; ``compute_table_size`` only sizes them.
     """
 
-    def __init__(self, compute_table_size: int | None = None):
-        if compute_table_size is None:
-            compute_table_size = int(os.environ.get(
-                "DDQSIM_COMPUTE_TABLE_SIZE", DEFAULT_COMPUTE_TABLE_SIZE))
+    def __init__(self, compute_table_size: int = DEFAULT_COMPUTE_TABLE_SIZE):
         # Weight-grid cell (see _cell) -> canonical weight stored for it.
         self._weights: dict[complex, complex] = {}
         self._vtable: dict = {}
+        # Root node -> number of StateDD handles pinning it.
+        self._pins: dict[VNode, int] = {}
         self._mtable: dict = {}
         self._next_uid = 1
         # Not read by this package; see DEFAULT_COMPUTE_TABLE_SIZE.
@@ -269,10 +267,6 @@ class Context:
             node = VNode(level, nl, nh, self._next_uid)
             self._next_uid += 1
             self._vtable[key] = node
-            if lt is not TERMINAL:
-                lt.ref += 1
-            if ht is not TERMINAL:
-                ht.ref += 1
         return (node, m)
 
     def make_mnode(self, level: int, edges: tuple) -> Edge:
@@ -293,43 +287,36 @@ class Context:
             self._mtable[key] = node
         return (node, m)
 
-    # -- reference counting / garbage collection -------------------------
-
-    def incref(self, edge: Edge) -> None:
-        if edge[0] is not TERMINAL:
-            edge[0].ref += 1
-
-    def decref(self, edge: Edge) -> None:
-        if edge[0] is not TERMINAL:
-            edge[0].ref -= 1
+    # -- garbage collection ----------------------------------------------
 
     def collect_garbage(self) -> int:
-        """Drop all vector nodes with zero references; returns the count.
+        """Drop every vector node no pinned root reaches; returns the count.
 
-        No operation memo outlives its gate, so none can mention a reclaimed
-        node.  Gate diagrams (the matrix nodes and ``gate_dds``) are dropped
-        as well and rebuilt on demand, so a long run of distinct parametric
-        gates cannot grow them without bound.  Finally the weight table is
-        rebuilt from the surviving nodes.
+        The unique table is rebuilt from the survivors, in their stored
+        order: a fresh dict returns the memory the dropped entries held,
+        which deleting them one by one would not.  No operation memo
+        outlives its gate, so none can mention a reclaimed node.  Gate
+        diagrams (the matrix nodes and ``gate_dds``) are dropped as well and
+        rebuilt on demand, so a long run of distinct parametric gates cannot
+        grow them without bound.  Finally the weight table is rebuilt from
+        the surviving nodes.
         """
         self.gate_dds.clear()
         self._mtable.clear()
-        dead = [n for n in self._vtable.values() if n.ref == 0]
-        removed = 0
-        vtable = self._vtable
-        while dead:
-            node = dead.pop()
-            nl = node.low
-            nh = node.high
-            del vtable[(node.level, nl[0], nl[1], nh[0], nh[1])]
-            removed += 1
-            for child in (nl[0], nh[0]):
-                if child is not TERMINAL:
-                    child.ref -= 1
-                    if child.ref == 0:
-                        dead.append(child)
+        before = len(self._vtable)
+        live = self._reachable()
+        self._vtable = {key: node for key, node in self._vtable.items()
+                        if node in live}
         self._rebuild_weight_tables()
-        return removed
+        return before - len(self._vtable)
+
+    def _reachable(self) -> set[VNode]:
+        """Every node some pinned root reaches."""
+        live: set[VNode] = set()
+        for root in self._pins:
+            for bucket in levels((root, 1.0)):
+                live.update(bucket)
+        return live
 
     def _rebuild_weight_tables(self) -> None:
         """Shrink the weight table to the unit seeds and the stored weights.
@@ -357,24 +344,18 @@ class Context:
         """Number of vector nodes currently stored (live or not)."""
         return len(self._vtable)
 
-    def check_invariants(self, *handles: "StateDD") -> None:
+    def check_invariants(self) -> None:
         """Raise ``AssertionError`` unless the vector-node tables are sound.
 
-        ``handles`` must be every state handle still pinned in this context.
-        Checks that each stored node's ``ref`` equals its parent edges in
-        the unique table (live or dead) plus the handles rooted at it; that
-        each node is normalized, its larger outgoing magnitude within
-        ``2 * EPS`` of 1 (a canonical weight lies within ``EPS`` of the
-        normalized value in each component, so within ``sqrt(2) * EPS`` in
-        magnitude); that each unique-table key matches its node; and that
-        each nonzero stored weight is the value the weight table holds for
-        its cell, so ``weight(w)`` returns ``w``.  A test aid: it walks
-        every table and changes nothing.
+        Checks that each unique-table key matches its node; that each node
+        is normalized, its larger outgoing magnitude within ``2 * EPS`` of 1
+        (a canonical weight lies within ``EPS`` of the normalized value in
+        each component, so within ``sqrt(2) * EPS`` in magnitude); that each
+        nonzero stored weight is the value the weight table holds for its
+        cell, so ``weight(w)`` returns ``w``; and that every node a pinned
+        root reaches is the node stored under its own key.  A test aid: it
+        walks every table and changes nothing.
         """
-        expected: dict[VNode, int] = {node: 0 for node in self._vtable.values()}
-        for state in handles:
-            if state.root[0] is not TERMINAL:
-                expected[state.root[0]] += 1
         for key, node in self._vtable.items():
             nl = node.low
             nh = node.high
@@ -383,16 +364,16 @@ class Context:
             m = max(abs(nl[1]), abs(nh[1]))
             if abs(m - 1.0) > 2 * EPS:
                 raise AssertionError(f"{node} is not normalized: max weight {m!r}")
-            for child, w in (nl, nh):
-                if child is not TERMINAL:
-                    expected[child] += 1
+            for w in (nl[1], nh[1]):
                 if w != 0 and self._weights.get(_cell(w)) != w:
                     raise AssertionError(f"{node} stores non-canonical weight {w!r}")
-        for node, refs in expected.items():
-            if node.ref != refs:
+        for node in self._reachable():
+            nl = node.low
+            nh = node.high
+            if self._vtable.get((node.level, nl[0], nl[1], nh[0], nh[1])) is not node:
                 raise AssertionError(
-                    f"{node} has ref {node.ref}, expected {refs} from its "
-                    f"parents and pinned handles")
+                    f"{node}, reachable from a pinned root, is not stored "
+                    f"under its key")
 
     # -- state construction ----------------------------------------------
 
@@ -432,18 +413,20 @@ class Context:
 
     def new_state(self, root: Edge, num_qubits: int) -> "StateDD":
         """Wrap a root edge as a pinned state handle (low-level)."""
-        state = StateDD(self, root, num_qubits)
-        self.incref(root)
-        return state
+        node = root[0]
+        if node is not TERMINAL:
+            self._pins[node] = self._pins.get(node, 0) + 1
+        return StateDD(self, root, num_qubits)
 
 
 @dataclass
 class StateDD:
     """Handle to a decision diagram representing a ``2**num_qubits`` vector.
 
-    Holding one pins the root against garbage collection; call
-    :meth:`release` when a long-running loop is done with an intermediate
-    state so :meth:`Context.collect_garbage` can reclaim it.
+    Holding one pins the root node: :meth:`Context.collect_garbage` keeps
+    everything it reaches.  Call :meth:`release` (once) when a long-running
+    loop is done with an intermediate state so the collector can reclaim
+    what no other pinned root reaches.
     """
 
     context: Context
@@ -451,7 +434,13 @@ class StateDD:
     num_qubits: int
 
     def release(self) -> None:
-        self.context.decref(self.root)
+        node = self.root[0]
+        if node is not TERMINAL:
+            pins = self.context._pins
+            if pins[node] == 1:
+                del pins[node]
+            else:
+                pins[node] -= 1
 
     def amplitude(self, bits: str) -> complex:
         """Product of edge weights along the path selected by ``bits``.

@@ -156,6 +156,15 @@ def test_no_stats_written_on_failure(tmp_path, capsys):
     assert not stats_path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--stats", "--csv"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, "--gen", "ghz", "4", flag, str(target))
+    assert code == 1
+    assert err.startswith("simulate: error:")
+    assert "Traceback" not in err
+
+
 def test_verify_skipped_above_limit(capsys):
     code, out, err = run(capsys, "--gen", "ghz", "13", "--verify")
     assert code == 0
