@@ -22,11 +22,11 @@ Conventions pinned here and relied on by every other module:
   real root weight.
 * Outgoing weights are canonicalized on a grid of cell size ``EPS`` per
   component: one table maps each occupied cell to the value first stored
-  there, and later values within ``EPS`` of it (component-wise) map to that
-  stored value, so the unique table cannot fill up with near-duplicates
-  produced by rounding.  Every garbage collection rebuilds the table from
-  the weights of the surviving nodes.  Incoming scale factors stay raw; they
-  are re-canonicalized wherever they next feed a node.
+  there, and every later value in that cell maps to it, so the unique table
+  cannot fill up with near-duplicates produced by rounding.  Every garbage
+  collection rebuilds the table from the weights of the surviving nodes.
+  Incoming scale factors stay raw; they are re-canonicalized wherever they
+  next feed a node.
 * Index convention: bitstring ``b_{n-1}...b_0`` (qubit ``n-1`` written first)
   maps to the integer index with ``b_{n-1}`` most significant.
 * Liveness: each :class:`StateDD` handle pins its root node, and
@@ -116,20 +116,6 @@ class VNode:
         return f"<q{self.level} #{self.uid}>"
 
 
-class MNode:
-    """Matrix-diagram node: four successors ordered (row bit, column bit)."""
-
-    __slots__ = ("level", "edges", "uid")
-
-    def __init__(self, level: int, edges: tuple, uid: int):
-        self.level = level
-        self.edges = edges
-        self.uid = uid
-
-    def __repr__(self) -> str:
-        return f"<m{self.level} #{self.uid}>"
-
-
 class BoundedCache:
     """Fixed-size memoization table with overwrite-on-collision.
 
@@ -159,7 +145,8 @@ class BoundedCache:
 
 
 class Context:
-    """Owner of the unique tables, the weight table and the gate diagrams.
+    """Owner of the vector-node unique table, the weight table, the pins and
+    the gate-diagram cache.
 
     All diagrams created through one context live in its tables; diagrams
     from different contexts must not be combined by operations that create
@@ -175,19 +162,16 @@ class Context:
     """
 
     def __init__(self, compute_table_size: int = DEFAULT_COMPUTE_TABLE_SIZE):
-        # Weight-grid cell (see _cell) -> canonical weight stored for it.
-        self._weights: dict[complex, complex] = {}
+        # Weight-grid cell (see _cell) -> canonical weight, seeded with the units.
+        self._weights = {_cell(z): z for z in (1 + 0j, -1 + 0j, 1j, -1j)}
         self._vtable: dict = {}
         # Root node -> number of StateDD handles pinning it.
         self._pins: dict[VNode, int] = {}
-        self._mtable: dict = {}
         self._next_uid = 1
         # Not read by this package; see DEFAULT_COMPUTE_TABLE_SIZE.
         self.apply_cache = BoundedCache(compute_table_size)
         self.add_cache = BoundedCache(compute_table_size)
         self.gate_dds: dict = {}
-        for seed in (1 + 0j, -1 + 0j, 1j, -1j):
-            self.weight(seed)
 
     # -- weights ---------------------------------------------------------
 
@@ -196,12 +180,12 @@ class Context:
 
         Values within ``EPS`` of zero in both components become exact zero.
         Others are snapped onto a grid of cell size ``EPS`` per component:
-        a query within ``EPS`` of the value stored for its cell reuses that
-        value, so float dust from normalization collapses onto one
-        representative; otherwise the query's own value is stored for the
-        cell.  Values straddling a cell boundary may stay distinct; that
-        costs a missed node merge, never a wrong amplitude.  The table keeps
-        the cells met since the last :meth:`collect_garbage`, plus the
+        the first value stored for a cell is final, and every later query in
+        that cell returns it, so float dust from normalization collapses
+        onto one representative within about ``EPS`` of the query in each
+        component.  Values straddling a cell boundary may stay distinct;
+        that costs a missed node merge, never a wrong amplitude.  The table
+        keeps the cells met since the last :meth:`collect_garbage`, plus the
         weights of the nodes that survived it.
         """
         re = z.real
@@ -210,7 +194,7 @@ class Context:
             return 0j
         key = _cell(z)
         w = self._weights.get(key)
-        if w is None or abs(w.real - re) > EPS or abs(w.imag - im) > EPS:
+        if w is None:
             w = self._weights[key] = complex(re, im)
         return w
 
@@ -243,8 +227,7 @@ class Context:
         else:
             key = z / EPS + _SNAP - _SNAP
             nlw = weights.get(key)
-            if nlw is None or abs(nlw.real - re) > EPS \
-                    or abs(nlw.imag - im) > EPS:
+            if nlw is None:
                 nlw = weights[key] = complex(re, im)
         z = wh / m
         re = z.real
@@ -254,8 +237,7 @@ class Context:
         else:
             key = z / EPS + _SNAP - _SNAP
             nhw = weights.get(key)
-            if nhw is None or abs(nhw.real - re) > EPS \
-                    or abs(nhw.imag - im) > EPS:
+            if nhw is None:
                 nhw = weights[key] = complex(re, im)
         lt = TERMINAL if nlw == 0 else low[0]
         ht = TERMINAL if nhw == 0 else high[0]
@@ -269,76 +251,46 @@ class Context:
             self._vtable[key] = node
         return (node, m)
 
-    def make_mnode(self, level: int, edges: tuple) -> Edge:
-        """Matrix-node analogue of :meth:`make_vnode` (four successors)."""
-        m = max(abs(e[1]) for e in edges)
-        if m <= EPS:
-            return ZERO
-        norm_edges = []
-        for e in edges:
-            w = self.weight(e[1] / m)
-            norm_edges.append(ZERO if w == 0 else (e[0], w))
-        norm_edges = tuple(norm_edges)
-        key = (level, norm_edges)
-        node = self._mtable.get(key)
-        if node is None:
-            node = MNode(level, norm_edges, self._next_uid)
-            self._next_uid += 1
-            self._mtable[key] = node
-        return (node, m)
-
     # -- garbage collection ----------------------------------------------
 
     def collect_garbage(self) -> int:
         """Drop every vector node no pinned root reaches; returns the count.
 
-        The unique table is rebuilt from the survivors, in their stored
-        order: a fresh dict returns the memory the dropped entries held,
-        which deleting them one by one would not.  No operation memo
-        outlives its gate, so none can mention a reclaimed node.  Gate
-        diagrams (the matrix nodes and ``gate_dds``) are dropped as well and
-        rebuilt on demand, so a long run of distinct parametric gates cannot
-        grow them without bound.  Finally the weight table is rebuilt from
-        the surviving nodes.
+        One walk of the pinned roots rebuilds both tables in walk order:
+        the unique table from the nodes reached, keyed from each node, and
+        the weight table from the unit seeds plus the weights those nodes
+        store.  Fresh dicts return the memory the dropped entries held, and
+        the dead entries are never visited.  Each stored weight keeps its
+        cell and its identity, so snapping stays stable for everything
+        alive; a cell held only by reclaimed nodes is forgotten and may
+        take a new representative within ``EPS`` on its next use.  No
+        operation memo outlives its gate, so none can mention a reclaimed
+        node.  ``gate_dds`` is cleared too and rebuilt on demand, so a long
+        run of distinct parametric gates cannot grow it without bound.
         """
         self.gate_dds.clear()
-        self._mtable.clear()
         before = len(self._vtable)
-        live = self._reachable()
-        self._vtable = {key: node for key, node in self._vtable.items()
-                        if node in live}
-        self._rebuild_weight_tables()
-        return before - len(self._vtable)
-
-    def _reachable(self) -> set[VNode]:
-        """Every node some pinned root reaches."""
-        live: set[VNode] = set()
-        for root in self._pins:
-            for bucket in levels((root, 1.0)):
-                live.update(bucket)
-        return live
-
-    def _rebuild_weight_tables(self) -> None:
-        """Shrink the weight table to the unit seeds and the stored weights.
-
-        Between collections the table gains a cell for every distinct
-        weight canonicalized, which on low-redundancy circuits means far
-        more cells than the live diagram uses.  Each weight still stored in
-        a node keeps its cell and its identity, so snapping stays stable
-        for everything alive; a cell held only by reclaimed nodes is
-        forgotten and may take a new representative within ``EPS`` on its
-        next use.
-        """
-        old = self._weights
-        weights: dict[complex, complex] = {}
-        for seed in (1 + 0j, -1 + 0j, 1j, -1j):
-            key = _cell(seed)
-            weights[key] = old.get(key, seed)
-        for node in self._vtable.values():
-            for w in (node.low[1], node.high[1]):
+        vtable: dict = {}
+        weights = {_cell(z): z for z in (1 + 0j, -1 + 0j, 1j, -1j)}
+        for node in self._pinned_nodes():
+            nl = node.low
+            nh = node.high
+            vtable[(node.level, nl[0], nl[1], nh[0], nh[1])] = node
+            for w in (nl[1], nh[1]):
                 if w != 0:
                     weights.setdefault(_cell(w), w)
+        self._vtable = vtable
         self._weights = weights
+        return before - len(vtable)
+
+    def _pinned_nodes(self):
+        """Every node a pinned root reaches, root by root in walk order.
+
+        A node that several pinned roots reach comes once per root.
+        """
+        for root in self._pins:
+            for bucket in levels((root, 1.0)):
+                yield from bucket
 
     def unique_table_size(self) -> int:
         """Number of vector nodes currently stored (live or not)."""
@@ -367,7 +319,7 @@ class Context:
             for w in (nl[1], nh[1]):
                 if w != 0 and self._weights.get(_cell(w)) != w:
                     raise AssertionError(f"{node} stores non-canonical weight {w!r}")
-        for node in self._reachable():
+        for node in self._pinned_nodes():
             nl = node.low
             nh = node.high
             if self._vtable.get((node.level, nl[0], nl[1], nh[0], nh[1])) is not node:

@@ -4,7 +4,11 @@ A gate becomes a matrix diagram over only the qubits it touches; levels it
 never mentions are skipped entirely (applying it treats them as identity on
 the fly).  Matrix diagrams are built from a sparse ``(row, col) -> weight``
 map over the touched qubits with controls folded in as diagonal blocks, so
-one code path covers plain, controlled and permutation gates.
+one code path covers plain, controlled and permutation gates.  Matrix nodes
+are normalized like vector nodes but not hash-consed: each gate's diagram
+owns its nodes, equal sub-matrices within a gate share one node through the
+build memo, and the finished diagram is cached per gate value in
+``Context.gate_dds``.
 
 Matrix-vector products and sums are memoized per operation: :func:`apply`
 builds two fresh dicts for each gate, passes them down the recursion and
@@ -17,7 +21,20 @@ saved almost nothing, so no compute table outlives its gate.
 from __future__ import annotations
 
 from .circuit import Gate, gate_matrix
-from .dd import TERMINAL, ZERO, CapacityError, Context, Edge, StateDD
+from .dd import EPS, TERMINAL, ZERO, CapacityError, Context, Edge, StateDD
+
+
+class MNode:
+    """Matrix-diagram node: four successors ordered (row bit, column bit)."""
+
+    __slots__ = ("level", "edges")
+
+    def __init__(self, level: int, edges: tuple):
+        self.level = level
+        self.edges = edges
+
+    def __repr__(self) -> str:
+        return f"<m{self.level}>"
 
 
 def gate_dd(ctx: Context, gate: Gate) -> Edge:
@@ -44,7 +61,17 @@ def gate_dd(ctx: Context, gate: Gate) -> Edge:
                         for (row, col), w in sub.items()
                         if (row & mask) == r * mask and (col & mask) == c * mask}
                 quads.append(build(part, p - 1))
-        got = ctx.make_mnode(touched[p], tuple(quads))
+        # Normalize as Context.make_vnode does: divide by the largest
+        # magnitude, which becomes the incoming weight.
+        m = max(abs(w) for _, w in quads)
+        if m <= EPS:
+            got = ZERO
+        else:
+            edges = []
+            for target, w in quads:
+                w = ctx.weight(w / m)
+                edges.append(ZERO if w == 0 else (target, w))
+            got = (MNode(touched[p], tuple(edges)), m)
         memo[key] = got
         return got
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .approx import approximate_round
 from .circuit import Circuit
@@ -63,20 +63,7 @@ class SimStats:
     wall_time_seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "mode": self.mode,
-            "num_qubits": self.num_qubits,
-            "num_gates": self.num_gates,
-            "max_dd_size": self.max_dd_size,
-            "final_dd_size": self.final_dd_size,
-            "rounds": [vars(r).copy() for r in self.rounds],
-            "fidelity_lower_bound": self.fidelity_lower_bound,
-            "node_trace": list(self.node_trace),
-            "planned_rounds": self.planned_rounds,
-            "warnings": list(self.warnings),
-            "wall_time_seconds": self.wall_time_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -227,7 +214,7 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy):
             watermark = max(GC_WATERMARK, 2 * ctx.unique_table_size())
         stats.node_trace.append(count)
 
-    stats.final_dd_size = state.node_count()
+    stats.final_dd_size = count
     stats.fidelity_lower_bound = math.prod(
         r.round_fidelity for r in stats.rounds)
     stats.wall_time_seconds = time.perf_counter() - started

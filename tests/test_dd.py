@@ -25,6 +25,15 @@ def test_weights_within_eps_share_one_stored_value():
     a = ctx.weight(0.5 + 0.25j)
     b = ctx.weight(0.5 + 4e-14 + 0.25j)
     assert a is b
+    # Both real parts round to cell 6, yet they lie just over EPS apart: the
+    # value stored first stays the cell's value, so one node serves both.
+    lo = 5.5 * EPS + 0.25j
+    hi = 6.5 * EPS + 0.25j
+    assert _cell(lo) == _cell(hi) and abs(hi - lo) > EPS
+    x = ctx.new_state(ctx.make_vnode(0, (TERMINAL, 1.0), (TERMINAL, lo)), 1)
+    y = ctx.new_state(ctx.make_vnode(0, (TERMINAL, 1.0), (TERMINAL, hi)), 1)
+    assert x.root[0] is y.root[0]
+    ctx.check_invariants()
 
 
 def test_weights_beyond_eps_stay_distinct():
@@ -285,7 +294,7 @@ def test_weight_table_rebuild_preserves_live_weights():
     ctx = Context()
     s = ctx.from_dense(random_state(5, seed=9))
     live = {node.low[1] for node in chain.from_iterable(levels(s.root))}
-    ctx._rebuild_weight_tables()
+    ctx.collect_garbage()
     for w in live:
         if w != 0:
             assert ctx.weight(complex(w)) is w
@@ -323,6 +332,7 @@ def test_gc_after_every_gate_matches_dense_oracle(seed):
         state = nxt
         ctx.collect_garbage()
         ctx.check_invariants()
+        assert ctx.unique_table_size() == state.node_count()
         # One live state: at most two weights per node, plus the unit seeds.
         assert len(ctx._weights) <= 2 * state.node_count() + 4
     assert np.abs(state.to_dense() - dense_simulate(circ)).max() < 1e-9
