@@ -2,14 +2,18 @@
 
 Runs every record of the corpus below and prints one line per record: its
 name, a few readable sizes, and a SHA-256 over everything observable about
-the run.  A refactoring that should not change any result must print
-identical output before and after.  Each record hashes
+the run.  A refactoring that should not change any result must print the
+same hash for every record before and after.  Each record hashes
 
 * ``SimStats.as_dict()`` without ``wall_time_seconds``;
 * a SHA-256 of the final ``to_dense()`` vector (for GHZ, too wide to expand,
   its two nonzero amplitudes);
 * the return value of every ``collect_garbage()`` call;
 * the final sizes of the unique table and the weight table.
+
+Each line also prints ``created``, the number of vector nodes the run built
+(``Context._next_uid - 1``), outside the hash: it measures kernel work, so
+two checkouts that agree on every result can still differ there.
 
 Corpus (about 40 s): the six fidelity-driven period-finding runs of the
 ``shor_fidelity`` benchmark workload; exact ``gen_supremacy(3, 4, 24, s)``
@@ -19,8 +23,9 @@ at threshold 500 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
 so that collections run; and 10 random 6-qubit 60-gate circuits with a
 garbage collection after every gate.
 
-Only public entry points and ``Context._weights`` are used, so the script
-runs against older checkouts too.  Compare two checkouts with::
+Only public entry points, ``Context._weights`` and ``Context._next_uid`` are
+used, so the script runs against older checkouts too.  Compare two
+checkouts with::
 
     PYTHONPATH=/path/to/parent/src python3 scripts/fingerprint.py > parent.txt
     PYTHONPATH=src python3 scripts/fingerprint.py > change.txt
@@ -86,7 +91,7 @@ def emit(name: str, state, ctx: Context, reclaimed: list[int], stats=None) -> No
         json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
     print(f"{name:28s} {sizes} gcs={len(reclaimed)} "
           f"unique={record['unique_table']} weights={record['weights']} "
-          f"sha={digest}", flush=True)
+          f"created={ctx._next_uid - 1} sha={digest}", flush=True)
 
 
 def random_circuit(num_qubits: int, num_gates: int, seed: int) -> Circuit:

@@ -19,7 +19,12 @@ Conventions pinned here and relied on by every other module:
   real factor is pushed into the incoming edge.  Phases therefore stay local
   to the level where they occur, sub-vectors that agree up to a positive real
   factor share one node, and states built from vectors carry a non-negative
-  real root weight.
+  real root weight.  A sum of two edges into the same node reuses that node
+  under the summed weight instead of building a phase-rotated copy of it.
+* Descent: every nonzero edge of a node leads exactly one level down (a
+  level-0 node's to the terminal) and every zero edge is ``ZERO``, so a node
+  is reached only at its own level.  :meth:`StateDD.node_count` relies on
+  that, and :meth:`Context.check_invariants` checks it.
 * Outgoing weights are canonicalized on a grid of cell size ``EPS`` per
   component: one table maps each occupied cell to the value first stored
   there, and every later value in that cell maps to it, so the unique table
@@ -304,7 +309,9 @@ class Context:
         (a canonical weight lies within ``EPS`` of the normalized value in
         each component, so within ``sqrt(2) * EPS`` in magnitude); that each
         nonzero stored weight is the value the weight table holds for its
-        cell, so ``weight(w)`` returns ``w``; and that every node a pinned
+        cell, so ``weight(w)`` returns ``w``; that each nonzero edge leads
+        exactly one level down and each zero edge is the zero stub, which
+        :meth:`StateDD.node_count` relies on; and that every node a pinned
         root reaches is the node stored under its own key.  A test aid: it
         walks every table and changes nothing.
         """
@@ -316,9 +323,13 @@ class Context:
             m = max(abs(nl[1]), abs(nh[1]))
             if abs(m - 1.0) > 2 * EPS:
                 raise AssertionError(f"{node} is not normalized: max weight {m!r}")
-            for w in (nl[1], nh[1]):
+            for target, w in (nl, nh):
                 if w != 0 and self._weights.get(_cell(w)) != w:
                     raise AssertionError(f"{node} stores non-canonical weight {w!r}")
+                if target.level != (node.level - 1 if w != 0 else -1):
+                    raise AssertionError(
+                        f"{node} has an edge to {target} that neither leads "
+                        f"one level down nor is the zero stub")
         for node in self._pinned_nodes():
             nl = node.low
             nh = node.high
@@ -442,8 +453,29 @@ class StateDD:
         return self.root[1] * expand(self.root[0])
 
     def node_count(self) -> int:
-        """Number of distinct non-terminal nodes reachable from the root."""
-        return sum(map(len, levels(self.root)))
+        """Number of distinct non-terminal nodes reachable from the root.
+
+        Counts level by level: the nodes one level down are the set of the
+        current level's children, less the terminal that zero edges point
+        at.  No node is counted twice because every nonzero edge leads
+        exactly one level down (see the module's Conventions), and no
+        bucket lists are built, unlike :func:`levels`.
+        """
+        node, w = self.root
+        if w == 0 or node is TERMINAL:
+            return 0
+        count = 0
+        level = {node}
+        while level:
+            count += len(level)
+            below = set()
+            add = below.add
+            for n in level:
+                add(n.low[0])
+                add(n.high[0])
+            below.discard(TERMINAL)
+            level = below
+        return count
 
     def norm(self) -> float:
         """Euclidean norm of the represented vector."""

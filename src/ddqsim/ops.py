@@ -4,9 +4,12 @@ A gate becomes a matrix diagram over only the qubits it touches; levels it
 never mentions are skipped entirely (applying it treats them as identity on
 the fly).  Matrix diagrams are built from a sparse ``(row, col) -> weight``
 map over the touched qubits with controls folded in as diagonal blocks, so
-one code path covers plain, controlled and permutation gates.  Matrix nodes
-are normalized like vector nodes but not hash-consed: each gate's diagram
-owns its nodes, equal sub-matrices within a gate share one node through the
+one code path covers plain, controlled and permutation gates.  A block that
+is the identity on every touched qubit below it is the terminal itself, so
+the recursion ends there and the control-0 halves of controlled gates and
+permutations hand the vector sub-diagram back unchanged.  Matrix nodes are
+normalized like vector nodes but not hash-consed: each gate's diagram owns
+its nodes, equal sub-matrices within a gate share one node through the
 build memo, and the finished diagram is cached per gate value in
 ``Context.gate_dds``.
 
@@ -14,14 +17,17 @@ Matrix-vector products and sums are memoized per operation: :func:`apply`
 builds two fresh dicts for each gate, passes them down the recursion and
 drops them when it returns.  Entries are keyed by the node objects, which is
 sound because nodes are hash-consed and no garbage collection runs inside a
-gate.  Addition memos are keyed on the weight ratio of the operands, so
-``a + c*b`` is shared across common rescalings.  Results reused across gates
-saved almost nothing, so no compute table outlives its gate.
+gate.  A sum of two edges into the same node is that node with the summed
+weight; it builds nothing, where normalizing the sum node by node would
+rebuild a phase-rotated copy of the shared subtree.  Other addition memos are
+keyed on the weight ratio of the operands, so ``a + c*b`` is shared across
+common rescalings.  Results reused across gates saved almost nothing, so no
+compute table outlives its gate.
 """
 from __future__ import annotations
 
 from .circuit import Gate, gate_matrix
-from .dd import EPS, TERMINAL, ZERO, CapacityError, Context, Edge, StateDD
+from .dd import EPS, ONE, TERMINAL, ZERO, CapacityError, Context, Edge, StateDD
 
 
 class MNode:
@@ -38,7 +44,13 @@ class MNode:
 
 
 def gate_dd(ctx: Context, gate: Gate) -> Edge:
-    """Matrix diagram for ``gate``, cached on the context per gate value."""
+    """Matrix diagram for ``gate``, cached on the context per gate value.
+
+    A sub-block that is the identity on every touched qubit it still spans
+    becomes the edge ``(TERMINAL, 1)``, which :func:`_mv` maps to its vector
+    operand unchanged.  A gate that is the identity on all it touches is
+    that edge as a whole.
+    """
     cached = ctx.gate_dds.get(gate)
     if cached is not None:
         return cached
@@ -49,6 +61,9 @@ def gate_dd(ctx: Context, gate: Gate) -> Edge:
     def build(sub: dict, p: int) -> Edge:
         if p < 0:
             return (TERMINAL, sub.get((0, 0), 0j))
+        if len(sub) == 2 << p and all(r == c and w == 1
+                                      for (r, c), w in sub.items()):
+            return ONE
         key = (p, frozenset(sub.items()))
         got = memo.get(key)
         if got is not None:
@@ -192,8 +207,12 @@ def _mv(ctx: Context, m, v, memo: dict, add_memo: dict) -> Edge:
 def _add(ctx: Context, a: Edge, b: Edge, memo: dict) -> Edge:
     """Sum of two same-level vector edges (weights included).
 
-    ``memo`` maps ``(an, bn, ratio)`` to the normalized edge for
-    ``an + ratio*bn``, for the sums already computed in the current gate.
+    Two edges into one node, the terminal included, sum to that node with
+    the summed weight, left raw like every incoming weight, or to ``ZERO``
+    where :meth:`Context.weight` would snap that weight to 0; no node is
+    built.  Otherwise ``memo`` maps ``(an, bn, ratio)`` to the normalized
+    edge for ``an + ratio*bn``, for the sums already computed in the
+    current gate.
     """
     aw = a[1]
     if aw == 0:
@@ -203,8 +222,11 @@ def _add(ctx: Context, a: Edge, b: Edge, memo: dict) -> Edge:
         return a
     an = a[0]
     bn = b[0]
-    if an is TERMINAL and bn is TERMINAL:
-        return (TERMINAL, ctx.weight(aw + bw))
+    if an is bn:
+        w = aw + bw
+        if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
+            return ZERO
+        return (an, w)
     if an.uid > bn.uid:
         an, bn = bn, an
         aw, bw = bw, aw

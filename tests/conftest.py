@@ -1,4 +1,4 @@
-"""Shared helpers: seeded random circuits, and the acceptance report.
+"""Shared helpers: seeded random circuits and gates, and the acceptance report.
 
 Sweeps draw everything from ``random.Random(seed)`` so every run sees the
 same instances; there is no test-order or wall-clock dependence.
@@ -47,6 +47,16 @@ def random_circuit(num_qubits: int, num_gates: int, seed: int) -> Circuit:
             a, b = rng.sample(range(num_qubits), 2)
             ops.append(Gate("SWAP", tuple(sorted((a, b)))))
     return Circuit(num_qubits, ops, name=f"random_{num_qubits}q_s{seed}")
+
+
+def random_permutation(rng: random.Random, num_qubits: int) -> Gate:
+    """A PERMUTATION on two or three targets with one control."""
+    qubits = rng.sample(range(num_qubits), rng.choice((3, 4)))
+    targets = tuple(sorted(qubits[1:]))
+    table = list(range(1 << len(targets)))
+    rng.shuffle(table)
+    return Gate("PERMUTATION", targets, controls=(qubits[0],),
+                table=tuple(table))
 
 
 @pytest.fixture

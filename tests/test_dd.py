@@ -1,5 +1,4 @@
 """Core diagram tests: canonical construction, lookups, round trips, GC."""
-import math
 import random
 from itertools import chain
 
@@ -8,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ddqsim.approx import approximate_round
-from ddqsim.circuit import Gate, gen_shor_period
+from ddqsim.circuit import gen_shor_period
 from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
                        Context, _cell, levels, squared_norm, subtree_norms)
 from ddqsim.ops import apply
 from ddqsim.oracle import dense_fidelity, dense_simulate, random_state
 from ddqsim.strategies import FidelityDrivenConfig, simulate_fidelity_driven
 
-from conftest import random_circuit
+from conftest import random_circuit, random_permutation
 
 
 # -- weight canonicalization ----------------------------------------------
@@ -214,6 +213,26 @@ def test_node_count_upper_bound_and_sharing():
     assert root.low[0] is root.high[0]
 
 
+_AMPLITUDE = st.sampled_from((0j, 1 + 0j, -1 + 0j, 1j, 0.5 + 0j, 0.6 - 0.8j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(amplitudes=st.integers(1, 5).flatmap(
+    lambda n: st.lists(_AMPLITUDE, min_size=1 << n, max_size=1 << n)))
+@example(amplitudes=[0j, 0j, 0j, 0j])   # zero root
+@example(amplitudes=[0.6 + 0j, 0.8j])   # one-qubit state
+def test_node_count_matches_levels(amplitudes):
+    # Few distinct amplitudes, so equal and proportional halves are common.
+    ctx = Context()
+    v = np.array(amplitudes, dtype=complex)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        state = ctx.new_state(ZERO, len(v).bit_length() - 1)
+    else:
+        state = ctx.from_dense(v / norm)
+    assert state.node_count() == sum(map(len, levels(state.root)))
+
+
 def test_identical_subvectors_reuse_one_node():
     ctx = Context()
     a = ctx.make_vnode(0, (TERMINAL, 0.6 + 0j), (TERMINAL, 0.8j))
@@ -346,16 +365,6 @@ def test_invariants_hold_after_fidelity_driven_run():
     ctx.check_invariants()
 
 
-def _random_permutation(rng: random.Random, num_qubits: int) -> Gate:
-    """A PERMUTATION on two or three targets with one control."""
-    qubits = rng.sample(range(num_qubits), rng.choice((3, 4)))
-    targets = tuple(sorted(qubits[1:]))
-    table = list(range(1 << len(targets)))
-    rng.shuffle(table)
-    return Gate("PERMUTATION", targets, controls=(qubits[0],),
-                table=tuple(table))
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_memory_driven_rounds_keep_invariants_and_exact_fidelity(seed):
@@ -366,7 +375,7 @@ def test_memory_driven_rounds_keep_invariants_and_exact_fidelity(seed):
     for i, gate in enumerate(circ.ops):
         gates.append(gate)
         if i % 4 == 3:
-            gates.append(_random_permutation(rng, 5))
+            gates.append(random_permutation(rng, 5))
     ctx = Context()
     state = ctx.make_basis_state(5, "0" * 5)
     for gate in gates:
@@ -384,7 +393,7 @@ def test_memory_driven_rounds_keep_invariants_and_exact_fidelity(seed):
 
 
 @pytest.mark.parametrize("how", ["reachable", "key", "normalized",
-                                 "non-canonical"])
+                                 "non-canonical", "one level down"])
 def test_check_invariants_detects_corruption(how):
     ctx = Context()
     state = ctx.from_dense(random_state(4, seed=3))
@@ -399,6 +408,11 @@ def test_check_invariants_detects_corruption(how):
         del ctx._vtable[key]
         node.low = (node.low[0], node.low[1] * 0.5)
         node.high = (node.high[0], node.high[1] * 0.5)
+        ctx._vtable[(node.level, *node.low, *node.high)] = node
+    elif how == "one level down":
+        # Skip a level: the low edge keeps its weight but jumps two down.
+        del ctx._vtable[key]
+        node.low = (node.low[0].low[0], node.low[1])
         ctx._vtable[(node.level, *node.low, *node.high)] = node
     else:
         ctx._weights.clear()

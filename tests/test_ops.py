@@ -4,13 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddqsim.circuit import FIXED_KINDS, ANGLE_KINDS, Circuit, Gate
-from ddqsim.dd import CapacityError, Context, TERMINAL
-from ddqsim.ops import apply, fidelity, gate_dd, inner_product
+from ddqsim.dd import TERMINAL, ZERO, CapacityError, Context, levels
+from ddqsim.ops import _add, apply, fidelity, gate_dd, inner_product
 from ddqsim.oracle import _apply_dense, dense_fidelity, dense_simulate, random_state
 
-from conftest import random_circuit
+from conftest import random_circuit, random_permutation
 
 
 def dense_apply(vector: np.ndarray, gate: Gate, n: int) -> np.ndarray:
@@ -149,6 +150,86 @@ def test_gate_memos_keep_work_linear_in_depth(gate):
     ctx.make_vnode = counting
     out = apply(plus, gate)
     assert out.node_count() <= 2 * n
+
+
+def _count_make_vnode(ctx: Context) -> list[int]:
+    """Count ``ctx.make_vnode`` calls from now on, in the returned cell."""
+    calls = [0]
+    make_vnode = ctx.make_vnode
+
+    def counting(*args):
+        calls[0] += 1
+        return make_vnode(*args)
+
+    ctx.make_vnode = counting
+    return calls
+
+
+def test_controlled_gate_on_deep_plus_state_builds_one_path():
+    # The control-0 half is an identity block, so only the control-1 half
+    # is walked: one make_vnode per level, plus one for the root.
+    n = 40
+    ctx = Context()
+    plus = ctx.make_basis_state(n, "0" * n)
+    for q in range(n):
+        plus = apply(plus, Gate("H", (q,)))
+    calls = _count_make_vnode(ctx)
+    out = apply(plus, Gate("X", (0,), controls=(39,)))
+    assert calls[0] <= n + 1
+    assert out.root[0] is plus.root[0]
+
+
+def test_add_of_one_node_with_itself_builds_nothing():
+    ctx = Context()
+    node = ctx.from_dense(random_state(3, seed=4)).root[0]
+    calls = _count_make_vnode(ctx)
+    a = 0.3 - 0.4j
+    b = 0.25 + 0.5j
+    assert _add(ctx, (node, a), (node, b), {}) == (node, a + b)
+    assert _add(ctx, (node, a), (node, -a), {}) == ZERO
+    assert _add(ctx, (TERMINAL, a), (TERMINAL, -a), {}) == ZERO
+    assert calls[0] == 0
+
+
+def test_gate_dd_identity_blocks_end_at_the_terminal():
+    ctx = Context()
+    root, w = gate_dd(ctx, Gate("X", (0,), controls=(5,)))
+    assert root.level == 5 and w == 1
+    e00, e01, e10, e11 = root.edges
+    assert e00 == (TERMINAL, 1 + 0j)
+    assert e01 == ZERO and e10 == ZERO
+    assert e11[0].level == 0
+    # A gate that is the identity on all it touches needs no matrix node.
+    assert gate_dd(ctx, Gate("PERMUTATION", (1, 2), table=(0, 1, 2, 3))) == \
+        (TERMINAL, 1 + 0j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_same_node_sums_and_identity_blocks_match_dense_oracle(seed):
+    """Random 5-qubit circuits with controlled permutations mixed in, and
+    self-inverse pairs that force same-node sums and exact cancellation."""
+    n = 5
+    rng = random.Random(seed)
+    gates = []
+    for gate in random_circuit(n, 30, seed).ops:
+        gates.append(gate)
+        roll = rng.random()
+        if roll < 0.25:
+            gates.append(random_permutation(rng, n))
+        elif roll < 0.6:
+            pair = Gate(rng.choice(("H", "X")), (rng.randrange(n),))
+            gates += [pair, pair]
+    ctx = Context()
+    state = ctx.make_basis_state(n, "0" * n)
+    for i, gate in enumerate(gates):
+        nxt = apply(state, gate)
+        state.release()
+        state = nxt
+        ctx.check_invariants()
+        assert state.node_count() == sum(map(len, levels(state.root)))
+        want = dense_simulate(Circuit(n, gates[:i + 1]))
+        assert np.abs(state.to_dense() - want).max() < 1e-9
 
 
 def test_gate_dd_skips_untouched_levels():
