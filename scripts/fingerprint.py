@@ -15,13 +15,15 @@ Each line also prints ``created``, the number of vector nodes the run built
 (``Context._next_uid - 1``), outside the hash: it measures kernel work, so
 two checkouts that agree on every result can still differ there.
 
-Corpus (about 40 s): the six fidelity-driven period-finding runs of the
+Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 ``shor_fidelity`` benchmark workload; exact ``gen_supremacy(3, 4, 24, s)``
 for s = 11 and 4243 (one garbage collection each); the 13-qubit QFT round
 trip; GHZ 300; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108
-at threshold 500 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
+at threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
 so that collections run; and 10 random 6-qubit 60-gate circuits with a
-garbage collection after every gate.
+garbage collection after every gate.  The memory-driven records exist to
+exercise the round path, so the script raises if one of them fires no
+round: at threshold 500 some grids never grow past it.
 
 Only public entry points, ``Context._weights`` and ``Context._next_uid`` are
 used, so the script runs against older checkouts too.  Compare two
@@ -46,6 +48,8 @@ from ddqsim.ops import apply
 
 SHOR = ((21, 2, "even"), (33, 5, "even"), (35, 2, "even"), (39, 2, "even"),
         (55, 2, "even"), (35, 2, "markers"))
+#: Node count above which the memory-driven records fire a round.
+MEMORY_THRESHOLD = 100
 
 
 def counted_context() -> tuple[Context, list[int]]:
@@ -152,7 +156,12 @@ def main() -> None:
                 ctx, reclaimed = counted_context()
                 state, stats = strategies.simulate_memory_driven(
                     gen_supremacy(3, 4, 6, seed),
-                    strategies.MemoryDrivenConfig(500, f_round), ctx)
+                    strategies.MemoryDrivenConfig(MEMORY_THRESHOLD, f_round),
+                    ctx)
+                if not stats.rounds:
+                    raise RuntimeError(
+                        f"grid_memory_s{seed}_{f_round} fired no round at "
+                        f"threshold {MEMORY_THRESHOLD}")
                 emit(f"grid_memory_s{seed}_{f_round}", state, ctx, reclaimed,
                      stats)
     finally:

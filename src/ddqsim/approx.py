@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dd import (CapacityError, Edge, StateDD, TERMINAL, VNode, level_norms,
-                 levels)
+from .dd import (CapacityError, Context, Edge, StateDD, TERMINAL, VNode,
+                 level_norms, levels)
 
 
 @dataclass
@@ -87,40 +87,10 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
     if id(state.root[0]) in victim_ids:
         raise ValueError("cannot remove the root node")
     nodes_before, total = _size_and_mass(state.root)
-    memo: dict[int, Edge] = {}
-
-    def rebuild(node) -> Edge:
-        if node is TERMINAL:
-            return (TERMINAL, 1.0 + 0j)
-        if id(node) in victim_ids:
-            return (TERMINAL, 0j)
-        got = memo.get(id(node))
-        if got is None:
-            # Subtrees without victims come back as themselves; such edges
-            # are reused directly so untouched regions cost one check each.
-            nl = node.low
-            if nl[1] == 0:
-                low = nl
-            else:
-                sub, sw = rebuild(nl[0])
-                low = nl if (sub is nl[0] and sw == 1.0) else (sub, nl[1] * sw)
-            nh = node.high
-            if nh[1] == 0:
-                high = nh
-            else:
-                sub, sw = rebuild(nh[0])
-                high = nh if (sub is nh[0] and sw == 1.0) else (sub, nh[1] * sw)
-            if low is nl and high is nh:
-                got = (node, 1.0 + 0j)
-            else:
-                got = ctx.make_vnode(node.level, low, high)
-            memo[id(node)] = got
-        return got
-
     try:
-        out, ow = rebuild(state.root[0])
+        out, ow = _rebuild(ctx, state.root[0], victim_ids, {})
     except RecursionError as e:
-        # rebuild recurses once per level; it stays recursive because its
+        # _rebuild recurses once per level; it stays recursive because its
         # node creation order fixes uids and canonical weights.
         raise CapacityError(
             f"a {state.num_qubits}-qubit register is too deep for the "
@@ -136,6 +106,40 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
                         removed_mass=1.0 - fidelity,
                         nodes_before=nodes_before,
                         nodes_after=nodes_after)
+
+
+def _rebuild(ctx: Context, node, victim_ids: set[int],
+             memo: dict[int, Edge]) -> Edge:
+    """``node``'s sub-vector with the ``victim_ids`` subtrees zeroed.
+
+    ``memo`` maps node ids to the edges already rebuilt in this round.
+    """
+    if node is TERMINAL:
+        return (TERMINAL, 1.0 + 0j)
+    if id(node) in victim_ids:
+        return (TERMINAL, 0j)
+    got = memo.get(id(node))
+    if got is None:
+        # Subtrees without victims come back as themselves; such edges
+        # are reused directly so untouched regions cost one check each.
+        nl = node.low
+        if nl[1] == 0:
+            low = nl
+        else:
+            sub, sw = _rebuild(ctx, nl[0], victim_ids, memo)
+            low = nl if (sub is nl[0] and sw == 1.0) else (sub, nl[1] * sw)
+        nh = node.high
+        if nh[1] == 0:
+            high = nh
+        else:
+            sub, sw = _rebuild(ctx, nh[0], victim_ids, memo)
+            high = nh if (sub is nh[0] and sw == 1.0) else (sub, nh[1] * sw)
+        if low is nl and high is nh:
+            got = (node, 1.0 + 0j)
+        else:
+            got = ctx.make_vnode(node.level, low, high)
+        memo[id(node)] = got
+    return got
 
 
 def approximate_round(state: StateDD, f_round: float) -> RoundOutcome:

@@ -295,25 +295,28 @@ def _eval_angle(src: str, line: int, col: int) -> float:
     except SyntaxError:
         raise QasmParseError(f"malformed angle expression {src.strip()!r}", line, col) from None
 
-    def ev(node) -> float:
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if isinstance(node, ast.Name) and node.id == "pi":
-            return math.pi
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = ev(node.operand)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.BinOp):
-            # BitXor covers the QASM power operator '^'.
-            ops = {ast.Add: float.__add__, ast.Sub: float.__sub__,
-                   ast.Mult: float.__mul__, ast.Div: float.__truediv__,
-                   ast.Pow: float.__pow__, ast.BitXor: float.__pow__}
-            fn = ops.get(type(node.op))
-            if fn is not None:
-                return fn(ev(node.left), ev(node.right))
-        raise QasmParseError(f"unsupported angle expression {src.strip()!r}", line, col)
+    return _eval_node(tree.body, src, line, col)
 
-    return ev(tree.body)
+
+def _eval_node(node, src: str, line: int, col: int) -> float:
+    """Value of one node of the angle expression ``src``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        v = _eval_node(node.operand, src, line, col)
+        return -v if isinstance(node.op, ast.USub) else v
+    if isinstance(node, ast.BinOp):
+        # BitXor covers the QASM power operator '^'.
+        ops = {ast.Add: float.__add__, ast.Sub: float.__sub__,
+               ast.Mult: float.__mul__, ast.Div: float.__truediv__,
+               ast.Pow: float.__pow__, ast.BitXor: float.__pow__}
+        fn = ops.get(type(node.op))
+        if fn is not None:
+            return fn(_eval_node(node.left, src, line, col),
+                      _eval_node(node.right, src, line, col))
+    raise QasmParseError(f"unsupported angle expression {src.strip()!r}", line, col)
 
 
 def _statements(text: str):

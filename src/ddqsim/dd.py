@@ -37,6 +37,12 @@ Conventions pinned here and relied on by every other module:
 * Liveness: each :class:`StateDD` handle pins its root node, and
   :meth:`Context.collect_garbage` keeps exactly the nodes that pinned roots
   reach.  Nodes carry no reference counts.
+* No cycles: nodes point only down, at their children, and no helper is a
+  closure that calls itself (a recursive walk is a module-level function
+  that takes its memo and context as arguments).  The engine therefore
+  makes no reference cycles, Python's reference counting frees a dropped
+  diagram, memo or context at once, and the drivers in
+  :mod:`ddqsim.strategies` can pause the cyclic garbage collector.
 
 A :class:`Context` owns all tables and is meant for single-threaded use;
 independent contexts may run concurrently in separate threads or processes.
@@ -432,25 +438,7 @@ class StateDD:
             raise CapacityError(
                 f"refusing dense expansion of {self.num_qubits} qubits "
                 f"(limit {DENSE_QUBIT_LIMIT})")
-        memo: dict[int, np.ndarray] = {}
-
-        def expand(node) -> np.ndarray:
-            if node is TERMINAL:
-                return np.ones(1, dtype=complex)
-            got = memo.get(id(node))
-            if got is None:
-                half = 1 << node.level
-                parts = []
-                for target, w in (node.low, node.high):
-                    if w == 0:
-                        parts.append(np.zeros(half, dtype=complex))
-                    else:
-                        parts.append(w * expand(target))
-                got = np.concatenate(parts)
-                memo[id(node)] = got
-            return got
-
-        return self.root[1] * expand(self.root[0])
+        return self.root[1] * _expand(self.root[0], {})
 
     def node_count(self) -> int:
         """Number of distinct non-terminal nodes reachable from the root.
@@ -488,6 +476,24 @@ class StateDD:
 def _check_bits(bits: str, num_qubits: int) -> None:
     if len(bits) != num_qubits or any(c not in "01" for c in bits):
         raise ValueError(f"expected a bitstring of length {num_qubits}, got {bits!r}")
+
+
+def _expand(node, memo: dict[int, np.ndarray]) -> np.ndarray:
+    """Dense sub-vector of a weight-stripped node; ``memo`` is keyed by id."""
+    if node is TERMINAL:
+        return np.ones(1, dtype=complex)
+    got = memo.get(id(node))
+    if got is None:
+        half = 1 << node.level
+        parts = []
+        for target, w in (node.low, node.high):
+            if w == 0:
+                parts.append(np.zeros(half, dtype=complex))
+            else:
+                parts.append(w * _expand(target, memo))
+        got = np.concatenate(parts)
+        memo[id(node)] = got
+    return got
 
 
 def levels(root: Edge) -> list[list[VNode]]:

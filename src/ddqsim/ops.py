@@ -56,43 +56,48 @@ def gate_dd(ctx: Context, gate: Gate) -> Edge:
         return cached
     touched = sorted(gate.qubits())
     entries = _folded_entries(gate, touched)
-    memo: dict = {}
-
-    def build(sub: dict, p: int) -> Edge:
-        if p < 0:
-            return (TERMINAL, sub.get((0, 0), 0j))
-        if len(sub) == 2 << p and all(r == c and w == 1
-                                      for (r, c), w in sub.items()):
-            return ONE
-        key = (p, frozenset(sub.items()))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        mask = 1 << p
-        quads = []
-        for r in (0, 1):
-            for c in (0, 1):
-                part = {(row & ~mask, col & ~mask): w
-                        for (row, col), w in sub.items()
-                        if (row & mask) == r * mask and (col & mask) == c * mask}
-                quads.append(build(part, p - 1))
-        # Normalize as Context.make_vnode does: divide by the largest
-        # magnitude, which becomes the incoming weight.
-        m = max(abs(w) for _, w in quads)
-        if m <= EPS:
-            got = ZERO
-        else:
-            edges = []
-            for target, w in quads:
-                w = ctx.weight(w / m)
-                edges.append(ZERO if w == 0 else (target, w))
-            got = (MNode(touched[p], tuple(edges)), m)
-        memo[key] = got
-        return got
-
-    edge = build(entries, len(touched) - 1)
+    edge = _build_block(ctx, touched, {}, entries, len(touched) - 1)
     ctx.gate_dds[gate] = edge
     return edge
+
+
+def _build_block(ctx: Context, touched: list[int], memo: dict, sub: dict,
+           p: int) -> Edge:
+    """Matrix diagram of the sparse block ``sub`` over local bits ``p..0``.
+
+    ``memo`` maps ``(p, entries)`` to the edges already built for this
+    gate, so equal sub-blocks share one node.
+    """
+    if p < 0:
+        return (TERMINAL, sub.get((0, 0), 0j))
+    if len(sub) == 2 << p and all(r == c and w == 1
+                                  for (r, c), w in sub.items()):
+        return ONE
+    key = (p, frozenset(sub.items()))
+    got = memo.get(key)
+    if got is not None:
+        return got
+    mask = 1 << p
+    quads = []
+    for r in (0, 1):
+        for c in (0, 1):
+            part = {(row & ~mask, col & ~mask): w
+                    for (row, col), w in sub.items()
+                    if (row & mask) == r * mask and (col & mask) == c * mask}
+            quads.append(_build_block(ctx, touched, memo, part, p - 1))
+    # Normalize as Context.make_vnode does: divide by the largest
+    # magnitude, which becomes the incoming weight.
+    m = max(abs(w) for _, w in quads)
+    if m <= EPS:
+        got = ZERO
+    else:
+        edges = []
+        for target, w in quads:
+            w = ctx.weight(w / m)
+            edges.append(ZERO if w == 0 else (target, w))
+        got = (MNode(touched[p], tuple(edges)), m)
+    memo[key] = got
+    return got
 
 
 def _folded_entries(gate: Gate, touched: list[int]) -> dict:
@@ -262,33 +267,33 @@ def inner_product(a: StateDD, b: StateDD) -> complex:
     """The Hermitian inner product <a|b> (a's amplitudes conjugated)."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("states must have the same number of qubits")
-    memo: dict = {}
-
-    def rec(x, y) -> complex:
-        if x is TERMINAL:
-            return 1.0 + 0j
-        key = (id(x), id(y))
-        got = memo.get(key)
-        if got is None:
-            got = 0j
-            for (xt, xw), (yt, yw) in ((x.low, y.low), (x.high, y.high)):
-                if xw != 0 and yw != 0:
-                    got += xw.conjugate() * yw * rec(xt, yt)
-            memo[key] = got
-        return got
-
     wa = a.root[1]
     wb = b.root[1]
     if wa == 0 or wb == 0:
         return 0j
     try:
-        ip = rec(a.root[0], b.root[0])
+        ip = _ip(a.root[0], b.root[0], {})
     except RecursionError as e:
-        # rec recurses once per level, like _mv.
+        # _ip recurses once per level, like _mv.
         raise CapacityError(
             f"a {a.num_qubits}-qubit register is too deep for the "
             f"recursive inner product") from e
     return complex(wa.conjugate() * wb * ip)
+
+
+def _ip(x, y, memo: dict) -> complex:
+    """<x|y> of two weight-stripped nodes; ``memo`` is keyed by id pairs."""
+    if x is TERMINAL:
+        return 1.0 + 0j
+    key = (id(x), id(y))
+    got = memo.get(key)
+    if got is None:
+        got = 0j
+        for (xt, xw), (yt, yw) in ((x.low, y.low), (x.high, y.high)):
+            if xw != 0 and yw != 0:
+                got += xw.conjugate() * yw * _ip(xt, yt, memo)
+        memo[key] = got
+    return got
 
 
 def fidelity(a: StateDD, b: StateDD) -> float:

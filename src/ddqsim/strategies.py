@@ -20,9 +20,15 @@ single round, and for nested rounds with no gates between them.  It is not a
 certificate in general: once gates run between rounds, the realized fidelity
 can fall below it.  ``gen_supremacy(3, 4, 8, 11)`` at threshold 500 and
 ``f_round`` 0.99 reports 0.72237 and realizes 0.71976.
+
+Python's cyclic garbage collector is paused while the gate loop runs and
+restored to its prior state afterwards.  The engine creates no reference
+cycles, so reference counting alone frees what the loop drops, and the
+collector would only re-scan the live diagram again and again.
 """
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -178,7 +184,15 @@ def simulate_fidelity_driven(circuit: Circuit, config: FidelityDrivenConfig,
 
 
 def _run(circuit: Circuit, context: Context | None, mode: str, policy):
-    """Shared gate loop; ``policy(gates_done, node_count)`` may fire a round."""
+    """Shared gate loop; ``policy(gates_done, node_count)`` may fire a round.
+
+    Python's cyclic garbage collector is paused for the loop, rounds and
+    :meth:`Context.collect_garbage` included, and switched back on afterwards
+    only if it was on before, also when the loop raises.  The engine makes
+    no reference cycles (see :mod:`ddqsim.dd`), so reference counting frees
+    everything it drops, and the pause only saves the collector's repeated
+    scans of the live nodes.
+    """
     circuit.validate()
     ctx = context if context is not None else Context()
     n = circuit.num_qubits
@@ -190,29 +204,35 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy):
     stats.max_dd_size = count
     watermark = GC_WATERMARK
 
-    for i, gate in enumerate(circuit.ops):
-        new = apply(state, gate)
-        state.release()
-        state = new
-        count = state.node_count()
-        if count > stats.max_dd_size:
-            stats.max_dd_size = count
-        fired = policy(i + 1, count)
-        if fired is not None:
-            f_round, trigger = fired
-            outcome = approximate_round(state, f_round)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, gate in enumerate(circuit.ops):
+            new = apply(state, gate)
             state.release()
-            state = outcome.state
-            count = outcome.nodes_after
-            stats.rounds.append(RoundRecord(
-                after_gate=i + 1, trigger=trigger,
-                nodes_before=outcome.nodes_before,
-                nodes_after=outcome.nodes_after,
-                round_fidelity=outcome.round_fidelity))
-        if ctx.unique_table_size() > watermark:
-            ctx.collect_garbage()
-            watermark = max(GC_WATERMARK, 2 * ctx.unique_table_size())
-        stats.node_trace.append(count)
+            state = new
+            count = state.node_count()
+            if count > stats.max_dd_size:
+                stats.max_dd_size = count
+            fired = policy(i + 1, count)
+            if fired is not None:
+                f_round, trigger = fired
+                outcome = approximate_round(state, f_round)
+                state.release()
+                state = outcome.state
+                count = outcome.nodes_after
+                stats.rounds.append(RoundRecord(
+                    after_gate=i + 1, trigger=trigger,
+                    nodes_before=outcome.nodes_before,
+                    nodes_after=outcome.nodes_after,
+                    round_fidelity=outcome.round_fidelity))
+            if ctx.unique_table_size() > watermark:
+                ctx.collect_garbage()
+                watermark = max(GC_WATERMARK, 2 * ctx.unique_table_size())
+            stats.node_trace.append(count)
+    finally:
+        if was_enabled:
+            gc.enable()
 
     stats.final_dd_size = count
     stats.fidelity_lower_bound = math.prod(

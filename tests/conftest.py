@@ -6,13 +6,24 @@ same instances; there is no test-order or wall-clock dependence.
 The acceptance tests append one verdict line each to ``acceptance_report``;
 a terminal-summary section prints them at the end of the run, outside
 pytest's output capture.
+
+OpenBLAS runs single-threaded for the whole session.  Acceptance 2 makes
+1,000 small QR factorizations under a wall-clock budget, and OpenBLAS's
+worker threads spin against any other busy process on a small machine: beside
+one busy loop on two cores the test took 10.6 s with the default threads and
+3.0 s with one.  OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when NumPy
+loads it, so the variable is set here, before ``ddqsim`` imports NumPy;
+``tests/test_oracle.py`` checks that it took effect.
 """
 import math
+import os
 import random
 
 import pytest
 
-from ddqsim.circuit import Circuit, Gate
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from ddqsim.circuit import Circuit, Gate  # noqa: E402
 
 acceptance_report: list[str] = []
 

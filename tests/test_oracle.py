@@ -1,5 +1,8 @@
 """The dense reference implementations themselves."""
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +13,27 @@ from ddqsim.oracle import (_controlled_matrix, basis_path_nodes,
                            counting_distribution, dense_fidelity,
                            dense_simulate, path_contributions, random_state,
                            shor_postprocess, truncate_dense)
+
+
+def test_openblas_runs_single_threaded():
+    # tests/conftest.py sets OPENBLAS_NUM_THREADS=1 before NumPy loads, so
+    # timed dense tests are not slowed by BLAS threads spinning under load.
+    # Ask the loaded library itself, through the thread-count getter that
+    # NumPy's wheels export under one of a few names.
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    getters = ("scipy_openblas_get_num_threads64_",
+               "scipy_openblas_get_num_threads", "openblas_get_num_threads64_",
+               "openblas_get_num_threads")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in getters:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                assert getter() == 1, "NumPy was imported before conftest.py"
+                return
+    pytest.skip("NumPy's bundled OpenBLAS was not found")
 
 
 def test_dense_simulate_bell():
