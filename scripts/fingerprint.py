@@ -9,7 +9,7 @@ same hash for every record before and after.  Each record hashes
 * a SHA-256 of the final ``to_dense()`` vector (for GHZ, too wide to expand,
   its two nonzero amplitudes);
 * the return value of every ``collect_garbage()`` call;
-* the final sizes of the unique table and the weight table.
+* the final size of the unique table.
 
 Each line also prints ``created``, the number of vector nodes the run built
 (``Context._next_uid - 1``), outside the hash: it measures kernel work, so
@@ -17,7 +17,7 @@ two checkouts that agree on every result can still differ there.
 
 Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 ``shor_fidelity`` benchmark workload; exact ``gen_supremacy(3, 4, 24, s)``
-for s = 11 and 4243 (one garbage collection each); the 13-qubit QFT round
+for s = 11 and 4243 (six garbage collections each); the 13-qubit QFT round
 trip; GHZ 300; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108
 at threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
 so that collections run; and 10 random 6-qubit 60-gate circuits with a
@@ -25,9 +25,8 @@ garbage collection after every gate.  The memory-driven records exist to
 exercise the round path, so the script raises if one of them fires no
 round: at threshold 500 some grids never grow past it.
 
-Only public entry points, ``Context._weights`` and ``Context._next_uid`` are
-used, so the script runs against older checkouts too.  Compare two
-checkouts with::
+Only public entry points and ``Context._next_uid`` are used, so the script
+runs against older checkouts too.  Compare two checkouts with::
 
     PYTHONPATH=/path/to/parent/src python3 scripts/fingerprint.py > parent.txt
     PYTHONPATH=src python3 scripts/fingerprint.py > change.txt
@@ -81,7 +80,6 @@ def emit(name: str, state, ctx: Context, reclaimed: list[int], stats=None) -> No
         "dense": dense_digest(state),
         "gc": reclaimed,
         "unique_table": ctx.unique_table_size(),
-        "weights": len(ctx._weights),
     }
     sizes = f"final={state.node_count()}"
     if stats is not None:
@@ -94,8 +92,8 @@ def emit(name: str, state, ctx: Context, reclaimed: list[int], stats=None) -> No
     digest = hashlib.sha256(
         json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
     print(f"{name:28s} {sizes} gcs={len(reclaimed)} "
-          f"unique={record['unique_table']} weights={record['weights']} "
-          f"created={ctx._next_uid - 1} sha={digest}", flush=True)
+          f"unique={record['unique_table']} created={ctx._next_uid - 1} "
+          f"sha={digest}", flush=True)
 
 
 def random_circuit(num_qubits: int, num_gates: int, seed: int) -> Circuit:

@@ -91,7 +91,7 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
         out, ow = _rebuild(ctx, state.root[0], victim_ids, {})
     except RecursionError as e:
         # _rebuild recurses once per level; it stays recursive because its
-        # node creation order fixes uids and canonical weights.
+        # node creation order fixes uids and the weights new nodes keep.
         raise CapacityError(
             f"a {state.num_qubits}-qubit register is too deep for the "
             f"recursive rebuild") from e

@@ -25,18 +25,18 @@ Conventions pinned here and relied on by every other module:
   level-0 node's to the terminal) and every zero edge is ``ZERO``, so a node
   is reached only at its own level.  :meth:`StateDD.node_count` relies on
   that, and :meth:`Context.check_invariants` checks it.
-* Outgoing weights are canonicalized on a grid of cell size ``EPS`` per
-  component: one table maps each occupied cell to the value first stored
-  there, and every later value in that cell maps to it, so the unique table
-  cannot fill up with near-duplicates produced by rounding.  Every garbage
-  collection rebuilds the table from the weights of the surviving nodes.
-  Incoming scale factors stay raw; they are re-canonicalized wherever they
-  next feed a node.
+* Weights: a node is stored under the cells of its outgoing weights on a
+  grid of cell size ``EPS`` per component (see :func:`_node_key`), so
+  sub-vectors whose normalized weights differ only by rounding dust share
+  one node, and the unique table cannot fill up with near-duplicates.  The
+  node keeps the raw normalized weights of the computation that first built
+  it.  Weights within ``EPS`` of zero in both components become the zero
+  stub.  Incoming scale factors stay raw.
 * Index convention: bitstring ``b_{n-1}...b_0`` (qubit ``n-1`` written first)
   maps to the integer index with ``b_{n-1}`` most significant.
 * Liveness: each :class:`StateDD` handle pins its root node, and
   :meth:`Context.collect_garbage` keeps exactly the nodes that pinned roots
-  reach.  Nodes carry no reference counts.
+  reach, re-keyed in one walk of them.  Nodes carry no reference counts.
 * No cycles: nodes point only down, at their children, and no helper is a
   closure that calls itself (a recursive walk is a module-level function
   that takes its memo and context as arguments).  The engine therefore
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Weight canonicalization tolerance (component-wise).
+#: Weight-cell size and zero-snap tolerance (component-wise).
 EPS = 1e-13
 
 #: Dense expansion is refused above this qubit count.
@@ -127,6 +127,17 @@ class VNode:
         return f"<q{self.level} #{self.uid}>"
 
 
+def _node_key(node: VNode) -> tuple:
+    """Unique-table key of ``node``: its level, and per edge the target and
+    the weight's :func:`_cell` (``0j`` for a zero edge).
+
+    :meth:`Context.make_vnode` computes the same key inline.
+    """
+    nl = node.low
+    nh = node.high
+    return (node.level, nl[0], _cell(nl[1]), nh[0], _cell(nh[1]))
+
+
 class BoundedCache:
     """Fixed-size memoization table with overwrite-on-collision.
 
@@ -156,8 +167,8 @@ class BoundedCache:
 
 
 class Context:
-    """Owner of the vector-node unique table, the weight table, the pins and
-    the gate-diagram cache.
+    """Owner of the vector-node unique table, the pins and the gate-diagram
+    cache.
 
     All diagrams created through one context live in its tables; diagrams
     from different contexts must not be combined by operations that create
@@ -173,8 +184,9 @@ class Context:
     """
 
     def __init__(self, compute_table_size: int = DEFAULT_COMPUTE_TABLE_SIZE):
-        # Weight-grid cell (see _cell) -> canonical weight, seeded with the units.
-        self._weights = {_cell(z): z for z in (1 + 0j, -1 + 0j, 1j, -1j)}
+        # Always empty: nodes are keyed by weight cell and no weight table
+        # exists.  Kept only because the benchmark tracer reads its length.
+        self._weights: dict = {}
         self._vtable: dict = {}
         # Root node -> number of StateDD handles pinning it.
         self._pins: dict[VNode, int] = {}
@@ -187,37 +199,31 @@ class Context:
     # -- weights ---------------------------------------------------------
 
     def weight(self, z: complex) -> complex:
-        """Return the canonical stored weight for ``z``.
+        """``z`` as a complex, or exact zero if it lies within ``EPS`` of
+        zero in both components.
 
-        Values within ``EPS`` of zero in both components become exact zero.
-        Others are snapped onto a grid of cell size ``EPS`` per component:
-        the first value stored for a cell is final, and every later query in
-        that cell returns it, so float dust from normalization collapses
-        onto one representative within about ``EPS`` of the query in each
-        component.  Values straddling a cell boundary may stay distinct;
-        that costs a missed node merge, never a wrong amplitude.  The table
-        keeps the cells met since the last :meth:`collect_garbage`, plus the
-        weights of the nodes that survived it.
+        Node weights get the same snap inside :meth:`make_vnode`; root and
+        matrix weights get it here.
         """
         re = z.real
         im = z.imag
         if -EPS <= re <= EPS and -EPS <= im <= EPS:
             return 0j
-        key = _cell(z)
-        w = self._weights.get(key)
-        if w is None:
-            w = self._weights[key] = complex(re, im)
-        return w
+        return complex(re, im)
 
     # -- node construction ----------------------------------------------
 
     def make_vnode(self, level: int, low: Edge, high: Edge) -> Edge:
-        """Build (or find) the canonical node over ``low``/``high``.
+        """Build (or find) the node over ``low``/``high``.
 
         Returns the normalized edge into the node: the outgoing weights are
         scaled by 1/max-magnitude (a positive real, returned as the new edge
         weight, raw).  Children whose relative weight falls below ``EPS``
         collapse to the zero stub; if everything vanishes, so does the node.
+        The node is looked up under :func:`_node_key` of the normalized
+        edges: a node found keeps the weights it was built with, which lie
+        in the same cells as the ones asked for; a node built stores the
+        normalized weights as they are.
         """
         wl = low[1]
         wh = high[1]
@@ -226,37 +232,32 @@ class Context:
         m = ml if ml >= mh else mh
         if m <= EPS:
             return ZERO
-        # self.weight(wl / m) and self.weight(wh / m), inlined: this runs
-        # for every node built.  Both quotients have components of magnitude
-        # at most 1, so the snapped cell key needs no range check.
-        weights = self._weights
-        z = wl / m
-        re = z.real
-        im = z.imag
+        # _node_key, inlined: this runs for every node built.  Both
+        # quotients have components of magnitude at most 1, so the snapped
+        # cell needs no range check (see _cell).
+        nlw = wl / m
+        re = nlw.real
+        im = nlw.imag
         if -EPS <= re <= EPS and -EPS <= im <= EPS:
-            nlw = 0j
+            lt = TERMINAL
+            lk = 0j
         else:
-            key = z / EPS + _SNAP - _SNAP
-            nlw = weights.get(key)
-            if nlw is None:
-                nlw = weights[key] = complex(re, im)
-        z = wh / m
-        re = z.real
-        im = z.imag
+            lt = low[0]
+            lk = nlw / EPS + _SNAP - _SNAP
+        nhw = wh / m
+        re = nhw.real
+        im = nhw.imag
         if -EPS <= re <= EPS and -EPS <= im <= EPS:
-            nhw = 0j
+            ht = TERMINAL
+            hk = 0j
         else:
-            key = z / EPS + _SNAP - _SNAP
-            nhw = weights.get(key)
-            if nhw is None:
-                nhw = weights[key] = complex(re, im)
-        lt = TERMINAL if nlw == 0 else low[0]
-        ht = TERMINAL if nhw == 0 else high[0]
-        key = (level, lt, nlw, ht, nhw)
+            ht = high[0]
+            hk = nhw / EPS + _SNAP - _SNAP
+        key = (level, lt, lk, ht, hk)
         node = self._vtable.get(key)
         if node is None:
-            nl = ZERO if nlw == 0 else (lt, nlw)
-            nh = ZERO if nhw == 0 else (ht, nhw)
+            nl = ZERO if lk == 0 else (lt, nlw)
+            nh = ZERO if hk == 0 else (ht, nhw)
             node = VNode(level, nl, nh, self._next_uid)
             self._next_uid += 1
             self._vtable[key] = node
@@ -267,14 +268,10 @@ class Context:
     def collect_garbage(self) -> int:
         """Drop every vector node no pinned root reaches; returns the count.
 
-        One walk of the pinned roots rebuilds both tables in walk order:
-        the unique table from the nodes reached, keyed from each node, and
-        the weight table from the unit seeds plus the weights those nodes
-        store.  Fresh dicts return the memory the dropped entries held, and
-        the dead entries are never visited.  Each stored weight keeps its
-        cell and its identity, so snapping stays stable for everything
-        alive; a cell held only by reclaimed nodes is forgotten and may
-        take a new representative within ``EPS`` on its next use.  No
+        One walk of the pinned roots rebuilds the unique table in walk
+        order, each node keyed by :func:`_node_key`.  A fresh dict returns
+        the memory the dropped entries held, and the dead entries are never
+        visited.  Surviving nodes keep their weights and their keys.  No
         operation memo outlives its gate, so none can mention a reclaimed
         node.  ``gate_dds`` is cleared too and rebuilt on demand, so a long
         run of distinct parametric gates cannot grow it without bound.
@@ -282,16 +279,9 @@ class Context:
         self.gate_dds.clear()
         before = len(self._vtable)
         vtable: dict = {}
-        weights = {_cell(z): z for z in (1 + 0j, -1 + 0j, 1j, -1j)}
         for node in self._pinned_nodes():
-            nl = node.low
-            nh = node.high
-            vtable[(node.level, nl[0], nl[1], nh[0], nh[1])] = node
-            for w in (nl[1], nh[1]):
-                if w != 0:
-                    weights.setdefault(_cell(w), w)
+            vtable[_node_key(node)] = node
         self._vtable = vtable
-        self._weights = weights
         return before - len(vtable)
 
     def _pinned_nodes(self):
@@ -308,38 +298,37 @@ class Context:
         return len(self._vtable)
 
     def check_invariants(self) -> None:
-        """Raise ``AssertionError`` unless the vector-node tables are sound.
+        """Raise ``AssertionError`` unless the vector-node table is sound.
 
-        Checks that each unique-table key matches its node; that each node
-        is normalized, its larger outgoing magnitude within ``2 * EPS`` of 1
-        (a canonical weight lies within ``EPS`` of the normalized value in
-        each component, so within ``sqrt(2) * EPS`` in magnitude); that each
-        nonzero stored weight is the value the weight table holds for its
-        cell, so ``weight(w)`` returns ``w``; that each nonzero edge leads
-        exactly one level down and each zero edge is the zero stub, which
-        :meth:`StateDD.node_count` relies on; and that every node a pinned
-        root reaches is the node stored under its own key.  A test aid: it
-        walks every table and changes nothing.
+        Checks that each unique-table key names its node's level and edge
+        targets, and the cells of its stored weights (a weight outside the
+        cell its key names is non-canonical); that each node is normalized,
+        its larger outgoing magnitude 1 up to rounding (checked to
+        ``2 * EPS``); that each nonzero edge leads exactly one level down and
+        each zero edge is the zero stub, which :meth:`StateDD.node_count`
+        relies on; and that every node a pinned root reaches is the node
+        stored under its own key.  A test aid: it walks the table and every
+        pinned diagram and changes nothing.
         """
         for key, node in self._vtable.items():
             nl = node.low
             nh = node.high
-            if key != (node.level, nl[0], nl[1], nh[0], nh[1]):
+            if (key[0], key[1], key[3]) != (node.level, nl[0], nh[0]):
                 raise AssertionError(f"unique-table key {key} does not match {node}")
+            if (key[2], key[4]) != (_cell(nl[1]), _cell(nh[1])):
+                raise AssertionError(
+                    f"{node} stores a non-canonical weight: {nl[1]!r} and "
+                    f"{nh[1]!r} do not lie in the cells of key {key}")
             m = max(abs(nl[1]), abs(nh[1]))
             if abs(m - 1.0) > 2 * EPS:
                 raise AssertionError(f"{node} is not normalized: max weight {m!r}")
             for target, w in (nl, nh):
-                if w != 0 and self._weights.get(_cell(w)) != w:
-                    raise AssertionError(f"{node} stores non-canonical weight {w!r}")
                 if target.level != (node.level - 1 if w != 0 else -1):
                     raise AssertionError(
                         f"{node} has an edge to {target} that neither leads "
                         f"one level down nor is the zero stub")
         for node in self._pinned_nodes():
-            nl = node.low
-            nh = node.high
-            if self._vtable.get((node.level, nl[0], nl[1], nh[0], nh[1])) is not node:
+            if self._vtable.get(_node_key(node)) is not node:
                 raise AssertionError(
                     f"{node}, reachable from a pinned root, is not stored "
                     f"under its key")

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from ddqsim.approx import approximate_round
 from ddqsim.circuit import gen_shor_period
 from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
-                       Context, _cell, levels, squared_norm, subtree_norms)
+                       Context, _cell, _node_key, levels, squared_norm,
+                       subtree_norms)
 from ddqsim.ops import apply
 from ddqsim.oracle import dense_fidelity, dense_simulate, random_state
 from ddqsim.strategies import FidelityDrivenConfig, simulate_fidelity_driven
@@ -17,41 +18,38 @@ from ddqsim.strategies import FidelityDrivenConfig, simulate_fidelity_driven
 from conftest import random_circuit, random_permutation
 
 
-# -- weight canonicalization ----------------------------------------------
+# -- weight cells ----------------------------------------------------------
 
 def test_weights_within_eps_share_one_stored_value():
     ctx = Context()
-    a = ctx.weight(0.5 + 0.25j)
-    b = ctx.weight(0.5 + 4e-14 + 0.25j)
-    assert a is b
+    a = ctx.make_vnode(0, (TERMINAL, 1.0), (TERMINAL, 0.5 + 0.25j))
+    b = ctx.make_vnode(0, (TERMINAL, 1.0), (TERMINAL, 0.5 + 4e-14 + 0.25j))
+    assert a[0] is b[0]
     # Both real parts round to cell 6, yet they lie just over EPS apart: the
-    # value stored first stays the cell's value, so one node serves both.
+    # unique table is keyed by cell, so one node serves both and keeps the
+    # weight it was built with.
     lo = 5.5 * EPS + 0.25j
     hi = 6.5 * EPS + 0.25j
     assert _cell(lo) == _cell(hi) and abs(hi - lo) > EPS
     x = ctx.new_state(ctx.make_vnode(0, (TERMINAL, 1.0), (TERMINAL, lo)), 1)
     y = ctx.new_state(ctx.make_vnode(0, (TERMINAL, 1.0), (TERMINAL, hi)), 1)
     assert x.root[0] is y.root[0]
+    assert x.root[0].high[1] == lo
     ctx.check_invariants()
 
 
 def test_weights_beyond_eps_stay_distinct():
     ctx = Context()
-    a = ctx.weight(0.5)
-    b = ctx.weight(0.5 + 3e-13)
-    assert a != b
+    a = ctx.make_vnode(0, (TERMINAL, 1.0), (TERMINAL, 0.5 + 0j))
+    b = ctx.make_vnode(0, (TERMINAL, 1.0), (TERMINAL, 0.5 + 3e-13 + 0j))
+    assert a[0] is not b[0]
+    assert ctx.unique_table_size() == 2
 
 
 def test_near_zero_snaps_to_exact_zero():
     ctx = Context()
     assert ctx.weight(5e-14 - 5e-14j) == 0j
     assert ctx.weight(0.0j) == 0j
-
-
-def test_unit_weights_are_seeded():
-    ctx = Context()
-    for z in (1 + 0j, -1 + 0j, 1j, -1j):
-        assert ctx.weight(z + 1e-14) == z
 
 
 # -- basis states and amplitude lookup ------------------------------------
@@ -309,14 +307,17 @@ def test_collect_garbage_returns_removed_count():
     assert ctx.unique_table_size() == 0
 
 
-def test_weight_table_rebuild_preserves_live_weights():
+def test_collect_garbage_keeps_live_weight_objects():
     ctx = Context()
     s = ctx.from_dense(random_state(5, seed=9))
-    live = {node.low[1] for node in chain.from_iterable(levels(s.root))}
-    ctx.collect_garbage()
-    for w in live:
-        if w != 0:
-            assert ctx.weight(complex(w)) is w
+    ctx.from_dense(random_state(5, seed=10)).release()
+    nodes = list(chain.from_iterable(levels(s.root)))
+    stored = [(node.low[1], node.high[1]) for node in nodes]
+    assert ctx.collect_garbage() > 0
+    assert ctx.unique_table_size() == len(nodes)
+    for node, (lw, hw) in zip(nodes, stored):
+        assert node.low[1] is lw and node.high[1] is hw
+    ctx.check_invariants()
 
 
 # Cell-key components: ordinary magnitudes, exact half-way ties between two
@@ -352,8 +353,6 @@ def test_gc_after_every_gate_matches_dense_oracle(seed):
         ctx.collect_garbage()
         ctx.check_invariants()
         assert ctx.unique_table_size() == state.node_count()
-        # One live state: at most two weights per node, plus the unit seeds.
-        assert len(ctx._weights) <= 2 * state.node_count() + 4
     assert np.abs(state.to_dense() - dense_simulate(circ)).max() < 1e-9
 
 
@@ -399,7 +398,7 @@ def test_check_invariants_detects_corruption(how):
     state = ctx.from_dense(random_state(4, seed=3))
     ctx.check_invariants()
     node = state.root[0]
-    key = (node.level, *node.low, *node.high)
+    key = _node_key(node)
     if how == "reachable":
         del ctx._vtable[key]
     elif how == "key":
@@ -408,14 +407,17 @@ def test_check_invariants_detects_corruption(how):
         del ctx._vtable[key]
         node.low = (node.low[0], node.low[1] * 0.5)
         node.high = (node.high[0], node.high[1] * 0.5)
-        ctx._vtable[(node.level, *node.low, *node.high)] = node
+        ctx._vtable[_node_key(node)] = node
     elif how == "one level down":
         # Skip a level: the low edge keeps its weight but jumps two down.
         del ctx._vtable[key]
         node.low = (node.low[0].low[0], node.low[1])
-        ctx._vtable[(node.level, *node.low, *node.high)] = node
+        ctx._vtable[_node_key(node)] = node
     else:
-        ctx._weights.clear()
+        # Move the low weight two cells over in place; its key still names
+        # the old cell.
+        node.low = (node.low[0], node.low[1] + 2 * EPS)
+        assert _cell(node.low[1]) != key[2]
     with pytest.raises(AssertionError, match=how):
         ctx.check_invariants()
 

@@ -1,11 +1,14 @@
 """Round planning and the exact / memory-driven / fidelity-driven drivers."""
 import math
+import random
 
 import numpy as np
 import pytest
 
+from ddqsim import strategies
 from ddqsim.circuit import (Circuit, Gate, gen_ghz, gen_shor_period,
                             gen_supremacy)
+from ddqsim.dd import Context
 from ddqsim.oracle import dense_fidelity, dense_simulate
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
                                even_positions, marker_positions, plan_rounds,
@@ -83,6 +86,31 @@ def test_exact_matches_oracle_and_reports_stats():
     assert stats.max_dd_size == max(stats.node_trace)
     assert stats.final_dd_size == stats.node_trace[-1]
     assert stats.wall_time_seconds > 0
+
+
+def test_long_parametric_circuit_stays_bounded(monkeypatch):
+    # 40,004 gates on 4 qubits, nearly every one a distinct gate DD: the
+    # watermark must fire collections that drop the dead nodes and gate DDs,
+    # though the live state never exceeds 4 nodes.
+    rng = random.Random(1)
+    ops = [Gate("H", (q,)) for q in range(4)]
+    ops += [Gate("RZ", (rng.randrange(4),), angle=rng.uniform(-math.pi, math.pi))
+            for _ in range(40_000)]
+    circ = Circuit(4, ops, name="rz_chain")
+    collections = []
+    collect = Context.collect_garbage
+
+    def counted(ctx):
+        collections.append(collect(ctx))
+        return collections[-1]
+
+    monkeypatch.setattr(Context, "collect_garbage", counted)
+    ctx = Context()
+    _, stats = simulate_exact(circ, ctx)
+    assert stats.final_dd_size == 4
+    assert collections
+    assert ctx.unique_table_size() <= strategies.GC_WATERMARK
+    assert len(ctx.gate_dds) < len(ops)
 
 
 def test_exact_empty_circuit():
@@ -171,12 +199,12 @@ def test_memory_config_validation():
 # victims depend on the order in which prefix masses of shared nodes are
 # summed, so any change to the contribution walk shows up here.
 GRID_ROUNDS = [
-    (65, 541, 537, 0.9908470869120798),
-    (66, 582, 553, 0.9904243384421008),
-    (67, 610, 579, 0.9912908824824329),
-    (68, 579, 566, 0.9943280924421798),
-    (69, 566, 553, 0.9939425124318432),
-    (70, 553, 543, 0.9934783241141347),
+    (65, 531, 526, 0.9910340940615504),
+    (66, 540, 525, 0.9949193286087435),
+    (67, 569, 544, 0.9909988508200875),
+    (68, 544, 529, 0.9948874265562068),
+    (69, 529, 520, 0.9918271392028684),
+    (70, 520, 512, 0.9924629618779846),
 ]
 
 
@@ -190,12 +218,14 @@ def test_memory_round_records_are_pinned():
         assert r.round_fidelity == pytest.approx(fid, abs=1e-12)
 
 
+# Seed 32 has the widest gap of gen_supremacy(3, 4, 8, s) for s = 0..39:
+# the bound exceeds the realized fidelity at s = 2, 11, 21, 32 and 38 only.
 @pytest.mark.xfail(strict=True, reason=(
     "the product of round fidelities is exact only for one round or nested "
-    "rounds with no gates between them; here it is 0.72237 while the "
-    "realized fidelity is 0.71976"))
+    "rounds with no gates between them; here it is 0.82993 while the "
+    "realized fidelity is 0.82077"))
 def test_memory_bound_holds_with_gates_between_rounds():
-    circ = gen_supremacy(3, 4, 8, 11)
+    circ = gen_supremacy(3, 4, 8, 32)
     state, stats = simulate_memory_driven(circ, MemoryDrivenConfig(500, 0.99))
     fid = dense_fidelity(dense_simulate(circ), state.to_dense())
     assert fid >= stats.fidelity_lower_bound - 1e-9
