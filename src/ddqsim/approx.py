@@ -82,11 +82,18 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
     ValueError if the root is a victim or nothing would survive, and
     CapacityError if the register is too deep for the recursive rebuild.
     """
+    nodes_before, total = _size_and_mass(state.root)
+    return _remove(state, victims, nodes_before, total)
+
+
+def _remove(state: StateDD, victims, nodes_before: int,
+            total: float) -> RoundOutcome:
+    """:func:`remove_nodes`, given the node count and the squared norm of
+    ``state``, which :func:`approximate_round` already has."""
     ctx = state.context
     victim_ids = {id(v) for v in victims}
     if id(state.root[0]) in victim_ids:
         raise ValueError("cannot remove the root node")
-    nodes_before, total = _size_and_mass(state.root)
     try:
         out, ow = _rebuild(ctx, state.root[0], victim_ids, {})
     except RecursionError as e:
@@ -171,4 +178,6 @@ def approximate_round(state: StateDD, f_round: float) -> RoundOutcome:
             break
         spent += mass
         victims.append(node)
-    return remove_nodes(state, victims)
+    # The root's contribution is the squared norm of the state.
+    return _remove(state, victims, len(contributions),
+                   contributions.get(root_node, 0.0))
