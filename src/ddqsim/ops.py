@@ -138,13 +138,18 @@ def apply(state: StateDD, gate: Gate) -> StateDD:
     if any(q < 0 or q >= state.num_qubits for q in qs):
         raise ValueError(f"gate {gate.kind} addresses a qubit outside the register")
     mroot, mw = gate_dd(ctx, gate)
-    try:
-        out, ow = _mv(ctx, mroot, state.root[0], {}, {})
-    except RecursionError as e:
-        # _mv recurses once per level above the gate's lowest touched qubit.
-        raise CapacityError(
-            f"a {state.num_qubits}-qubit register is too deep for "
-            f"recursive gate application") from e
+    if mroot is TERMINAL:
+        # The gate is the identity on every qubit it touches.
+        out, ow = state.root[0], 1.0
+    else:
+        try:
+            out, ow = _mv(ctx, mroot, state.root[0], {}, {})
+        except RecursionError as e:
+            # _mv recurses once per level above the gate's lowest touched
+            # qubit.
+            raise CapacityError(
+                f"a {state.num_qubits}-qubit register is too deep for "
+                f"recursive gate application") from e
     w = ctx.weight(state.root[1] * mw * ow)
     return ctx.new_state((out, w), state.num_qubits)
 
@@ -153,12 +158,13 @@ def _mv(ctx: Context, m, v, memo: dict, add_memo: dict) -> Edge:
     """Product of a matrix node and a vector node, both weight-stripped.
 
     ``memo`` holds the products and ``add_memo`` the sums (see :func:`_add`)
-    already computed for the current gate.  The branches are unrolled by
+    already computed for the current gate.  A matrix edge into the terminal
+    is an identity block, so it maps its vector child straight to
+    ``(child, weight)`` without a call; ``m`` itself is never the terminal
+    (:func:`apply` handles an identity gate).  The branches are unrolled by
     hand: this function dominates simulation time, so it avoids loops and
     intermediate sequences on purpose.
     """
-    if m is TERMINAL:
-        return (v, 1.0)
     key = (m, v)
     got = memo.get(key)
     if got is not None:
@@ -183,27 +189,37 @@ def _mv(ctx: Context, m, v, memo: dict, add_memo: dict) -> Edge:
         e00, e01, e10, e11 = m.edges
         wl = vl[1]
         wh = vh[1]
-        mw = e00[1]
+        mt, mw = e00
         if mw == 0 or wl == 0:
             low = ZERO
+        elif mt is TERMINAL:
+            low = (vl[0], mw * wl)
         else:
-            sub, sw = _mv(ctx, e00[0], vl[0], memo, add_memo)
+            sub, sw = _mv(ctx, mt, vl[0], memo, add_memo)
             low = (sub, mw * wl * sw)
-        mw = e01[1]
+        mt, mw = e01
         if mw != 0 and wh != 0:
-            sub, sw = _mv(ctx, e01[0], vh[0], memo, add_memo)
-            term = (sub, mw * wh * sw)
+            if mt is TERMINAL:
+                term = (vh[0], mw * wh)
+            else:
+                sub, sw = _mv(ctx, mt, vh[0], memo, add_memo)
+                term = (sub, mw * wh * sw)
             low = term if low[1] == 0 else _add(ctx, low, term, add_memo)
-        mw = e10[1]
+        mt, mw = e10
         if mw == 0 or wl == 0:
             high = ZERO
+        elif mt is TERMINAL:
+            high = (vl[0], mw * wl)
         else:
-            sub, sw = _mv(ctx, e10[0], vl[0], memo, add_memo)
+            sub, sw = _mv(ctx, mt, vl[0], memo, add_memo)
             high = (sub, mw * wl * sw)
-        mw = e11[1]
+        mt, mw = e11
         if mw != 0 and wh != 0:
-            sub, sw = _mv(ctx, e11[0], vh[0], memo, add_memo)
-            term = (sub, mw * wh * sw)
+            if mt is TERMINAL:
+                term = (vh[0], mw * wh)
+            else:
+                sub, sw = _mv(ctx, mt, vh[0], memo, add_memo)
+                term = (sub, mw * wh * sw)
             high = term if high[1] == 0 else _add(ctx, high, term, add_memo)
     out = memo[key] = ctx.make_vnode(v.level, low, high)
     return out
@@ -215,7 +231,8 @@ def _add(ctx: Context, a: Edge, b: Edge, memo: dict) -> Edge:
     Two edges into one node, the terminal included, sum to that node with
     the summed weight, left raw like every incoming weight, or to ``ZERO``
     where :meth:`Context.weight` would snap that weight to 0; no node is
-    built.  Otherwise ``memo`` maps ``(an, bn, ratio)`` to the normalized
+    built.  Child edges into one node are summed the same way inline,
+    without a call.  Otherwise ``memo`` maps ``(an, bn, ratio)`` to the normalized
     edge for ``an + ratio*bn``, for the sums already computed in the
     current gate.
     """
@@ -248,6 +265,12 @@ def _add(ctx: Context, a: Edge, b: Edge, memo: dict) -> Edge:
             low = al
         elif al[1] == 0:
             low = (bl[0], ratio * w)
+        elif al[0] is bl[0]:
+            w = al[1] + ratio * w
+            if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
+                low = ZERO
+            else:
+                low = (al[0], w)
         else:
             low = _add(ctx, al, (bl[0], ratio * w), memo)
         ah = an.high
@@ -257,6 +280,12 @@ def _add(ctx: Context, a: Edge, b: Edge, memo: dict) -> Edge:
             high = ah
         elif ah[1] == 0:
             high = (bh[0], ratio * w)
+        elif ah[0] is bh[0]:
+            w = ah[1] + ratio * w
+            if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
+                high = ZERO
+            else:
+                high = (ah[0], w)
         else:
             high = _add(ctx, ah, (bh[0], ratio * w), memo)
         got = memo[key] = ctx.make_vnode(an.level, low, high)
