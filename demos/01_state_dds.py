@@ -2,8 +2,9 @@
 
 A diagram stores a 2^n-entry state vector as a DAG: one node per distinct
 sub-vector, complex weights on the edges, and the amplitude of any basis
-state recovered by multiplying the weights along its path.  Highly patterned
-states collapse to a handful of shared nodes; generic states do not.
+state recovered by multiplying the weights along its path.  Sub-vectors
+equal up to a complex factor share one node, so highly patterned states
+collapse to a handful of shared nodes; generic states do not.
 """
 import math
 
@@ -31,7 +32,8 @@ def main() -> None:
     vec = [s, 0, 0, -s, 0, 2 * s, 0, 2 * s]
     small = ctx.from_dense(vec)
     print(f"vector: {[round(x, 4) for x in vec]}")
-    print(f"diagram nodes: {small.node_count()} (8 entries share structure)")
+    print(f"diagram nodes: {small.node_count()} (8 entries share structure; "
+          f"(0, -s) and (0, 2s) share one node)")
     amp = small.amplitude("011")
     print(f"amplitude |011> = {amp.real:+.6f} (path product through 3 levels)")
     small.release()

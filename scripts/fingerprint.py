@@ -17,7 +17,7 @@ two checkouts that agree on every result can still differ there.
 
 Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 ``shor_fidelity`` benchmark workload; exact ``gen_supremacy(3, 4, 24, s)``
-for s = 11 and 4243 (six garbage collections each); the 13-qubit QFT round
+for s = 11 and 4243 (six and five garbage collections); the 13-qubit QFT round
 trip; GHZ 300; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108
 at threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
 so that collections run; and 10 random 6-qubit 60-gate circuits with a

@@ -14,13 +14,17 @@ zero stub ``(TERMINAL, 0j)``.
 
 Conventions pinned here and relied on by every other module:
 
-* Normalization: the outgoing weights of a node are divided by the magnitude
-  of the largest one (ties resolved toward the low edge), and that positive
-  real factor is pushed into the incoming edge.  Phases therefore stay local
-  to the level where they occur, sub-vectors that agree up to a positive real
-  factor share one node, and states built from vectors carry a non-negative
-  real root weight.  A sum of two edges into the same node reuses that node
-  under the summed weight instead of building a phase-rotated copy of it.
+* Normalization: the outgoing weights of a node are divided by the complex
+  weight of its chosen edge, and that factor is pushed into the incoming
+  edge, so the chosen edge stores exactly ``1+0j``.  The chosen edge is the
+  low one unless the high weight's magnitude exceeds the low one's by more
+  than a factor ``1 + EPS``; the tolerance keeps rounding dust from
+  flipping the choice between near-equal magnitudes, and the other edge's
+  magnitude is at most ``1 + EPS``.  Sub-vectors that agree up to any
+  complex factor therefore share one node (a product state has one node
+  per qubit), and the root weight of a state carries its global phase.  A
+  sum of two edges into the same node reuses that node under the summed
+  weight instead of walking the shared subtree to find it again.
 * Descent: every nonzero edge of a node leads exactly one level down (a
   level-0 node's to the terminal) and every zero edge is ``ZERO``, so a node
   is reached only at its own level.  :meth:`StateDD.node_count` relies on
@@ -92,6 +96,10 @@ def _cell(z: complex) -> complex:
     if -_SNAP_LIMIT < k.real < _SNAP_LIMIT and -_SNAP_LIMIT < k.imag < _SNAP_LIMIT:
         return k
     return complex(round(z.real / EPS), round(z.imag / EPS))
+
+
+#: Cell of the weight ``1+0j`` that every node's chosen edge stores.
+_UNIT_CELL = _cell(1.0 + 0j)
 
 
 class Terminal:
@@ -216,52 +224,62 @@ class Context:
     def make_vnode(self, level: int, low: Edge, high: Edge) -> Edge:
         """Build (or find) the node over ``low``/``high``.
 
-        Returns the normalized edge into the node: the outgoing weights are
-        scaled by 1/max-magnitude (a positive real, returned as the new edge
-        weight, raw).  Children whose relative weight falls below ``EPS``
-        collapse to the zero stub; if everything vanishes, so does the node.
-        The node is looked up under :func:`_node_key` of the normalized
-        edges: a node found keeps the weights it was built with, which lie
-        in the same cells as the ones asked for; a node built stores the
-        normalized weights as they are.
+        Returns the normalized edge into the node.  The chosen edge is the
+        low one unless the high weight's magnitude exceeds the low one's by
+        more than a factor ``1 + EPS``; both outgoing weights are divided by
+        the chosen weight, a complex number returned raw as the new edge
+        weight, so the chosen edge stores exactly ``1+0j``.  The tolerance
+        keeps rounding dust from flipping the choice between near-equal
+        magnitudes.  A child whose relative weight falls below ``EPS``
+        collapses to the zero stub; if everything vanishes, so does the
+        node.  The node is looked up under :func:`_node_key` of the
+        normalized edges: a node found keeps the weights it was built with,
+        which lie in the same cells as the ones asked for; a node built
+        stores the normalized weights as they are.
         """
         wl = low[1]
         wh = high[1]
         ml = abs(wl)
         mh = abs(wh)
-        m = ml if ml >= mh else mh
-        if m <= EPS:
+        # _node_key, inlined: this runs for every node built.  The chosen
+        # edge's cell is _UNIT_CELL; the other quotient has components of
+        # magnitude at most about 1, so its snapped cell needs no range
+        # check (see _cell).
+        if mh > ml * (1.0 + EPS):
+            if mh <= EPS:
+                return ZERO
+            w = wl / wh
+            re = w.real
+            im = w.imag
+            if -EPS <= re <= EPS and -EPS <= im <= EPS:
+                key = (level, TERMINAL, 0j, high[0], _UNIT_CELL)
+            else:
+                key = (level, low[0], w / EPS + _SNAP - _SNAP, high[0],
+                       _UNIT_CELL)
+            node = self._vtable.get(key)
+            if node is None:
+                nl = ZERO if key[2] == 0 else (low[0], w)
+                node = VNode(level, nl, (high[0], 1.0 + 0j), self._next_uid)
+                self._next_uid += 1
+                self._vtable[key] = node
+            return (node, wh)
+        if ml <= EPS:
             return ZERO
-        # _node_key, inlined: this runs for every node built.  Both
-        # quotients have components of magnitude at most 1, so the snapped
-        # cell needs no range check (see _cell).
-        nlw = wl / m
-        re = nlw.real
-        im = nlw.imag
+        w = wh / wl
+        re = w.real
+        im = w.imag
         if -EPS <= re <= EPS and -EPS <= im <= EPS:
-            lt = TERMINAL
-            lk = 0j
+            key = (level, low[0], _UNIT_CELL, TERMINAL, 0j)
         else:
-            lt = low[0]
-            lk = nlw / EPS + _SNAP - _SNAP
-        nhw = wh / m
-        re = nhw.real
-        im = nhw.imag
-        if -EPS <= re <= EPS and -EPS <= im <= EPS:
-            ht = TERMINAL
-            hk = 0j
-        else:
-            ht = high[0]
-            hk = nhw / EPS + _SNAP - _SNAP
-        key = (level, lt, lk, ht, hk)
+            key = (level, low[0], _UNIT_CELL, high[0],
+                   w / EPS + _SNAP - _SNAP)
         node = self._vtable.get(key)
         if node is None:
-            nl = ZERO if lk == 0 else (lt, nlw)
-            nh = ZERO if hk == 0 else (ht, nhw)
-            node = VNode(level, nl, nh, self._next_uid)
+            nh = ZERO if key[4] == 0 else (high[0], w)
+            node = VNode(level, (low[0], 1.0 + 0j), nh, self._next_uid)
             self._next_uid += 1
             self._vtable[key] = node
-        return (node, m)
+        return (node, wl)
 
     # -- garbage collection ----------------------------------------------
 
@@ -303,10 +321,11 @@ class Context:
         Checks that each unique-table key names its node's level and edge
         targets, and the cells of its stored weights (a weight outside the
         cell its key names is non-canonical); that each node is normalized,
-        its larger outgoing magnitude 1 up to rounding (checked to
-        ``2 * EPS``); that each nonzero edge leads exactly one level down and
-        each zero edge is the zero stub, which :meth:`StateDD.node_count`
-        relies on; and that every node a pinned root reaches is the node
+        its chosen edge (the low one unless that is not exactly 1) storing
+        exactly ``1+0j`` and the other edge a magnitude of at most
+        ``1 + EPS`` up to rounding (checked to ``1 + 2 * EPS``); that each
+        nonzero edge leads exactly one level down and each zero edge is the
+        zero stub, which :meth:`StateDD.node_count` relies on; and that every node a pinned root reaches is the node
         stored under its own key.  A test aid: it walks the table and every
         pinned diagram and changes nothing.
         """
@@ -319,9 +338,15 @@ class Context:
                 raise AssertionError(
                     f"{node} stores a non-canonical weight: {nl[1]!r} and "
                     f"{nh[1]!r} do not lie in the cells of key {key}")
-            m = max(abs(nl[1]), abs(nh[1]))
-            if abs(m - 1.0) > 2 * EPS:
-                raise AssertionError(f"{node} is not normalized: max weight {m!r}")
+            chosen, other = (nl[1], nh[1]) if nl[1] == 1 else (nh[1], nl[1])
+            if chosen != 1:
+                raise AssertionError(
+                    f"{node} is not normalized: neither weight is 1 in "
+                    f"magnitude and phase ({nl[1]!r}, {nh[1]!r})")
+            if abs(other) > 1.0 + 2 * EPS:
+                raise AssertionError(
+                    f"{node} is not normalized: its other weight {other!r} "
+                    f"exceeds magnitude 1")
             for target, w in (nl, nh):
                 if target.level != (node.level - 1 if w != 0 else -1):
                     raise AssertionError(
@@ -404,7 +429,8 @@ class StateDD:
         """Product of edge weights along the path selected by ``bits``.
 
         Factors multiply bottom-up, in the same association order as
-        :meth:`to_dense`, so both report bit-identical values.
+        :meth:`to_dense` and with the same complex product (see
+        :func:`_scaled`), so both report bit-identical values.
         """
         _check_bits(bits, self.num_qubits)
         node, rw = self.root
@@ -427,7 +453,7 @@ class StateDD:
             raise CapacityError(
                 f"refusing dense expansion of {self.num_qubits} qubits "
                 f"(limit {DENSE_QUBIT_LIMIT})")
-        return self.root[1] * _expand(self.root[0], {})
+        return _scaled(self.root[1], _expand(self.root[0], {}))
 
     def node_count(self) -> int:
         """Number of distinct non-terminal nodes reachable from the root.
@@ -479,10 +505,24 @@ def _expand(node, memo: dict[int, np.ndarray]) -> np.ndarray:
             if w == 0:
                 parts.append(np.zeros(half, dtype=complex))
             else:
-                parts.append(w * _expand(target, memo))
+                parts.append(_scaled(w, _expand(target, memo)))
         got = np.concatenate(parts)
         memo[id(node)] = got
     return got
+
+
+def _scaled(w: complex, v: np.ndarray) -> np.ndarray:
+    """``w * v`` by CPython's complex product, component by component.
+
+    NumPy's complex multiply may fuse a multiply and an add into one
+    rounding, so it can differ in the last bit from the Python product that
+    :meth:`StateDD.amplitude` takes; separate float operations round each
+    step as Python does.
+    """
+    out = np.empty_like(v)
+    out.real = w.real * v.real - w.imag * v.imag
+    out.imag = w.real * v.imag + w.imag * v.real
+    return out
 
 
 def levels(root: Edge) -> list[list[VNode]]:

@@ -8,18 +8,20 @@ one code path covers plain, controlled and permutation gates.  A block that
 is the identity on every touched qubit below it is the terminal itself, so
 the recursion ends there and the control-0 halves of controlled gates and
 permutations hand the vector sub-diagram back unchanged.  Matrix nodes are
-normalized like vector nodes but not hash-consed: each gate's diagram owns
-its nodes, equal sub-matrices within a gate share one node through the
-build memo, and the finished diagram is cached per gate value in
-``Context.gate_dds``.
+not hash-consed: each gate's diagram owns its nodes, equal sub-matrices
+within a gate share one node through the build memo, and the finished
+diagram is cached per gate value in ``Context.gate_dds``.  They are
+normalized by the largest magnitude, a positive real, and not by a complex
+weight as vector nodes are: the build memo shares only equal blocks, so a
+phase-canonical rule would share nothing more.
 
 Matrix-vector products and sums are memoized per operation: :func:`apply`
 builds two fresh dicts for each gate, passes them down the recursion and
 drops them when it returns.  Entries are keyed by the node objects, which is
 sound because nodes are hash-consed and no garbage collection runs inside a
 gate.  A sum of two edges into the same node is that node with the summed
-weight; it builds nothing, where normalizing the sum node by node would
-rebuild a phase-rotated copy of the shared subtree.  Other addition memos are
+weight; it builds nothing, where adding the two node by node would walk the
+whole shared subtree only to find the same node.  Other addition memos are
 keyed on the weight ratio of the operands, so ``a + c*b`` is shared across
 common rescalings.  Results reused across gates saved almost nothing, so no
 compute table outlives its gate.
@@ -85,8 +87,8 @@ def _build_block(ctx: Context, touched: list[int], memo: dict, sub: dict,
                     for (row, col), w in sub.items()
                     if (row & mask) == r * mask and (col & mask) == c * mask}
             quads.append(_build_block(ctx, touched, memo, part, p - 1))
-    # Normalize as Context.make_vnode does: divide by the largest
-    # magnitude, which becomes the incoming weight.
+    # Divide by the largest magnitude, which becomes the incoming weight
+    # (see the module docstring for why not by a complex weight).
     m = max(abs(w) for _, w in quads)
     if m <= EPS:
         got = ZERO
@@ -231,10 +233,11 @@ def _add(ctx: Context, a: Edge, b: Edge, memo: dict) -> Edge:
     Two edges into one node, the terminal included, sum to that node with
     the summed weight, left raw like every incoming weight, or to ``ZERO``
     where :meth:`Context.weight` would snap that weight to 0; no node is
-    built.  Child edges into one node are summed the same way inline,
-    without a call.  Otherwise ``memo`` maps ``(an, bn, ratio)`` to the normalized
-    edge for ``an + ratio*bn``, for the sums already computed in the
-    current gate.
+    built, and the shared subtree is not walked only to find that node
+    again.  Child edges into one node are summed the same way inline,
+    without a call.  Otherwise ``memo`` maps ``(an, bn, ratio)`` to the
+    normalized edge for ``an + ratio*bn``, for the sums already computed in
+    the current gate.
     """
     aw = a[1]
     if aw == 0:

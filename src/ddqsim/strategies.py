@@ -19,7 +19,7 @@ The product equals the final state's fidelity against the exact run for a
 single round, and for nested rounds with no gates between them.  It is not a
 certificate in general: once gates run between rounds, the realized fidelity
 can fall below it.  ``gen_supremacy(3, 4, 8, 32)`` at threshold 500 and
-``f_round`` 0.99 reports 0.82993 and realizes 0.82077.
+``f_round`` 0.99 reports 0.83126 and realizes 0.81887.
 
 Python's cyclic garbage collector is paused while the gate loop runs and
 restored to its prior state afterwards.  The engine creates no reference

@@ -54,16 +54,18 @@ def report(tag: str, budget: float | None = None):
 
 @report("acceptance 1: hand-worked regression states", budget=1.0)
 def test_hand_worked_regression_states():
-    # Three-qubit state with known decision diagram: six nodes, amplitude
-    # -1/sqrt(10) at index 3, contributions {1, .8, .8, .2, .1, .1}.
+    # Three-qubit state with known decision diagram: five nodes, amplitude
+    # -1/sqrt(10) at index 3, contributions {1, .9, .8, .2, .1}.  The
+    # level-0 sub-vectors (0, -1) and (0, 1) differ by a phase, so they
+    # share one node, which carries .1 + .8 of the mass.
     s = 1 / math.sqrt(10)
     vec = np.array([s, 0, 0, -s, 0, 2 * s, 0, 2 * s], dtype=complex)
     ctx = Context()
     state = ctx.from_dense(vec)
     assert abs(state.amplitude("011") - (-s)) <= 1e-12
     contribs = node_contributions(state)
-    assert len(contribs) == 6
-    expected = sorted([1.0, 0.8, 0.8, 0.2, 0.1, 0.1])
+    assert len(contribs) == 5
+    expected = sorted([1.0, 0.9, 0.8, 0.2, 0.1])
     got = sorted(contribs.values())
     assert all(abs(g - e) <= 1e-12 for g, e in zip(got, expected))
 
