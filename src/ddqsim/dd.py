@@ -346,7 +346,7 @@ class Context:
             if abs(other) > 1.0 + 2 * EPS:
                 raise AssertionError(
                     f"{node} is not normalized: its other weight {other!r} "
-                    f"exceeds magnitude 1")
+                    f"exceeds magnitude 1 + EPS")
             for target, w in (nl, nh):
                 if target.level != (node.level - 1 if w != 0 else -1):
                     raise AssertionError(
