@@ -9,7 +9,9 @@ same hash for every record before and after.  Each record hashes
 * a SHA-256 of the final ``to_dense()`` vector (for GHZ, too wide to expand,
   its two nonzero amplitudes);
 * the return value of every ``collect_garbage()`` call;
-* the final size of the unique table.
+* the final size of the unique table;
+* ``StateDD.norm()`` of the final state, so that a change to how norms are
+  computed shows up even where the dense vector does not.
 
 Each line also prints ``created``, the number of vector nodes the run built
 (``Context._next_uid - 1``), outside the hash: it measures kernel work, so
@@ -80,6 +82,7 @@ def emit(name: str, state, ctx: Context, reclaimed: list[int], stats=None) -> No
         "dense": dense_digest(state),
         "gc": reclaimed,
         "unique_table": ctx.unique_table_size(),
+        "norm": state.norm(),
     }
     sizes = f"final={state.node_count()}"
     if stats is not None:

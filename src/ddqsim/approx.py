@@ -4,7 +4,8 @@ Every basis state corresponds to exactly one root-to-terminal path, so the
 squared norm of a state splits additively over the nodes of any diagram cut.
 The contribution of a node is the total probability mass of the basis states
 whose path runs through it: the mass arriving from above (prefix) times the
-squared norm of the sub-vector below it (suffix).  Zeroing a set of nodes
+squared norm of the sub-vector below it (suffix), which each node caches as
+``norm2`` (see :mod:`ddqsim.dd`).  Zeroing a set of nodes
 costs at most the sum of their contributions, so a removal round that stays
 within a contribution budget keeps at least the matching share of the norm.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dd import (CapacityError, Context, Edge, StateDD, TERMINAL, VNode,
-                 level_norms, levels)
+                 levels, squared_norm)
 
 
 @dataclass
@@ -43,18 +44,16 @@ def node_contributions(state: StateDD) -> dict[VNode, float]:
 
     The root's contribution is the squared norm of the state (1 for unit
     states); within any single level contributions sum to the same value.
-    One :func:`levels` walk serves both halves: suffix norms fill bottom-up,
-    then prefix masses flow top-down.
+    One top-down pass over the :func:`levels` buckets flows the prefix
+    masses down and multiplies each by the node's cached ``norm2``.
     """
-    buckets = levels(state.root)
-    suffix = level_norms(buckets)
     contributions: dict[VNode, float] = {}
     w = state.root[1]
     prefix = {state.root[0]: w.real * w.real + w.imag * w.imag}
-    for bucket in buckets:
+    for bucket in levels(state.root):
         for node in bucket:
             mass = prefix[node]
-            contributions[node] = mass * suffix[id(node)]
+            contributions[node] = mass * node.norm2
             for child, cw in (node.low, node.high):
                 if cw != 0 and child is not TERMINAL:
                     prefix[child] = prefix.get(child, 0.0) + \
@@ -62,34 +61,16 @@ def node_contributions(state: StateDD) -> dict[VNode, float]:
     return contributions
 
 
-def _size_and_mass(root: Edge) -> tuple[int, float]:
-    """Reachable node count and squared norm of ``root``, from one walk."""
-    buckets = levels(root)
-    if not buckets:
-        return 0, 0.0
-    w = root[1]
-    mass = (w.real * w.real + w.imag * w.imag) * \
-        level_norms(buckets)[id(root[0])]
-    return sum(map(len, buckets)), mass
-
-
 def remove_nodes(state: StateDD, victims) -> RoundOutcome:
     """Zero out the sub-vectors under ``victims`` and renormalize exactly.
 
     The rebuild walks the diagram once: victim subtrees become zero stubs,
     parents whose children all vanish collapse, everything else is re-made
-    bottom-up (hash-consing re-shares surviving structure).  Raises
+    bottom-up (hash-consing re-shares surviving structure); the squared
+    norms before and after are the root nodes' cached ``norm2``.  Raises
     ValueError if the root is a victim or nothing would survive, and
     CapacityError if the register is too deep for the recursive rebuild.
     """
-    nodes_before, total = _size_and_mass(state.root)
-    return _remove(state, victims, nodes_before, total)
-
-
-def _remove(state: StateDD, victims, nodes_before: int,
-            total: float) -> RoundOutcome:
-    """:func:`remove_nodes`, given the node count and the squared norm of
-    ``state``, which :func:`approximate_round` already has."""
     ctx = state.context
     victim_ids = {id(v) for v in victims}
     if id(state.root[0]) in victim_ids:
@@ -103,16 +84,16 @@ def _remove(state: StateDD, victims, nodes_before: int,
             f"a {state.num_qubits}-qubit register is too deep for the "
             f"recursive rebuild") from e
     root = (out, state.root[1] * ow)
-    nodes_after, kept = _size_and_mass(root)
+    kept = squared_norm(root)
     if kept == 0.0:
         raise ValueError("removal would annihilate the state")
-    fidelity = kept / total
+    fidelity = kept / squared_norm(state.root)
     new_root = (root[0], ctx.weight(root[1] / kept ** 0.5))
     new_state = ctx.new_state(new_root, state.num_qubits)
     return RoundOutcome(state=new_state, round_fidelity=fidelity,
                         removed_mass=1.0 - fidelity,
-                        nodes_before=nodes_before,
-                        nodes_after=nodes_after)
+                        nodes_before=state.node_count(),
+                        nodes_after=new_state.node_count())
 
 
 def _rebuild(ctx: Context, node, victim_ids: set[int],
@@ -178,6 +159,4 @@ def approximate_round(state: StateDD, f_round: float) -> RoundOutcome:
             break
         spent += mass
         victims.append(node)
-    # The root's contribution is the squared norm of the state.
-    return _remove(state, victims, len(contributions),
-                   contributions.get(root_node, 0.0))
+    return remove_nodes(state, victims)

@@ -25,6 +25,10 @@ Conventions pinned here and relied on by every other module:
   per qubit), and the root weight of a state carries its global phase.  A
   sum of two edges into the same node reuses that node under the summed
   weight instead of walking the shared subtree to find it again.
+* Norms: each node stores the squared norm of its own sub-vector, without
+  the incoming weight, as ``norm2`` (the terminal's is 1), computed when the
+  node is made from its stored weights and its children's ``norm2``, so a
+  state's norm is a lookup, not a walk.
 * Descent: every nonzero edge of a node leads exactly one level down (a
   level-0 node's to the terminal) and every zero edge is ``ZERO``, so a node
   is reached only at its own level.  :meth:`StateDD.node_count` relies on
@@ -108,6 +112,7 @@ class Terminal:
     __slots__ = ()
     level = -1
     uid = 0
+    norm2 = 1.0
 
     def __repr__(self) -> str:
         return "<terminal>"
@@ -121,15 +126,18 @@ ONE = (TERMINAL, 1.0 + 0j)
 
 
 class VNode:
-    """Vector-diagram node: one qubit split into low/high sub-vectors."""
+    """Vector-diagram node: one qubit split into low/high sub-vectors, and
+    the squared norm ``norm2`` of its sub-vector (see Conventions)."""
 
-    __slots__ = ("level", "low", "high", "uid")
+    __slots__ = ("level", "low", "high", "uid", "norm2")
 
-    def __init__(self, level: int, low: Edge, high: Edge, uid: int):
+    def __init__(self, level: int, low: Edge, high: Edge, uid: int,
+                 norm2: float):
         self.level = level
         self.low = low
         self.high = high
         self.uid = uid
+        self.norm2 = norm2
 
     def __repr__(self) -> str:
         return f"<q{self.level} #{self.uid}>"
@@ -235,7 +243,9 @@ class Context:
         node.  The node is looked up under :func:`_node_key` of the
         normalized edges: a node found keeps the weights it was built with,
         which lie in the same cells as the ones asked for; a node built
-        stores the normalized weights as they are.
+        stores the normalized weights as they are, and as ``norm2`` the
+        chosen child's plus the other weight's squared magnitude times the
+        other child's.
         """
         wl = low[1]
         wh = high[1]
@@ -258,8 +268,14 @@ class Context:
                        _UNIT_CELL)
             node = self._vtable.get(key)
             if node is None:
-                nl = ZERO if key[2] == 0 else (low[0], w)
-                node = VNode(level, nl, (high[0], 1.0 + 0j), self._next_uid)
+                hn = high[0]
+                if key[2] == 0:
+                    nl = ZERO
+                    norm2 = hn.norm2
+                else:
+                    nl = (low[0], w)
+                    norm2 = hn.norm2 + (re * re + im * im) * low[0].norm2
+                node = VNode(level, nl, (hn, 1.0 + 0j), self._next_uid, norm2)
                 self._next_uid += 1
                 self._vtable[key] = node
             return (node, wh)
@@ -275,8 +291,14 @@ class Context:
                    w / EPS + _SNAP - _SNAP)
         node = self._vtable.get(key)
         if node is None:
-            nh = ZERO if key[4] == 0 else (high[0], w)
-            node = VNode(level, (low[0], 1.0 + 0j), nh, self._next_uid)
+            ln = low[0]
+            if key[4] == 0:
+                nh = ZERO
+                norm2 = ln.norm2
+            else:
+                nh = (high[0], w)
+                norm2 = ln.norm2 + (re * re + im * im) * high[0].norm2
+            node = VNode(level, (ln, 1.0 + 0j), nh, self._next_uid, norm2)
             self._next_uid += 1
             self._vtable[key] = node
         return (node, wl)
@@ -325,9 +347,11 @@ class Context:
         exactly ``1+0j`` and the other edge a magnitude of at most
         ``1 + EPS`` up to rounding (checked to ``1 + 2 * EPS``); that each
         nonzero edge leads exactly one level down and each zero edge is the
-        zero stub, which :meth:`StateDD.node_count` relies on; and that every node a pinned root reaches is the node
-        stored under its own key.  A test aid: it walks the table and every
-        pinned diagram and changes nothing.
+        zero stub, which :meth:`StateDD.node_count` relies on; that each
+        node's ``norm2`` is bit for bit the one its weights and children
+        give; and that every node a pinned root reaches is the node stored
+        under its own key.  A test aid: it walks the table and every pinned
+        diagram and changes nothing.
         """
         for key, node in self._vtable.items():
             nl = node.low
@@ -347,11 +371,18 @@ class Context:
                 raise AssertionError(
                     f"{node} is not normalized: its other weight {other!r} "
                     f"exceeds magnitude 1 + EPS")
+            norm2 = 0.0
             for target, w in (nl, nh):
                 if target.level != (node.level - 1 if w != 0 else -1):
                     raise AssertionError(
                         f"{node} has an edge to {target} that neither leads "
                         f"one level down nor is the zero stub")
+                if w != 0:
+                    norm2 += (w.real * w.real + w.imag * w.imag) * target.norm2
+            if node.norm2 != norm2:
+                raise AssertionError(
+                    f"{node} stores a squared norm {node.norm2!r} that its "
+                    f"weights and children give as {norm2!r}")
         for node in self._pinned_nodes():
             if self._vtable.get(_node_key(node)) is not node:
                 raise AssertionError(
@@ -556,34 +587,17 @@ def levels(root: Edge) -> list[list[VNode]]:
     return buckets
 
 
-def level_norms(buckets: list[list[VNode]]) -> dict[int, float]:
-    """:func:`subtree_norms` over the result of :func:`levels`, bottom-up."""
-    norms: dict[int, float] = {}
-    for bucket in reversed(buckets):
-        for node in bucket:
-            got = 0.0
-            for target, w in (node.low, node.high):
-                if w != 0:
-                    got += (w.real * w.real + w.imag * w.imag) * \
-                        (1.0 if target is TERMINAL else norms[id(target)])
-            norms[id(node)] = got
-    return norms
-
-
 def subtree_norms(root: Edge) -> dict[int, float]:
-    """Squared norm of every reachable node's own sub-vector, keyed by id.
+    """Every reachable node's cached ``norm2``, keyed by id.
 
     The value excludes the incoming edge weight; the terminal's implicit
     value is 1 and is not part of the map.
     """
-    return level_norms(levels(root))
+    return {id(node): node.norm2 for bucket in levels(root) for node in bucket}
 
 
 def squared_norm(root: Edge) -> float:
-    """Squared Euclidean norm of the vector represented by ``root``."""
+    """Squared Euclidean norm of the vector represented by ``root``, in
+    O(1): the squared root weight times the root node's ``norm2``."""
     w = root[1]
-    if w == 0:
-        return 0.0
-    base = subtree_norms(root)
-    sub = 1.0 if root[0] is TERMINAL else base[id(root[0])]
-    return (w.real * w.real + w.imag * w.imag) * sub
+    return (w.real * w.real + w.imag * w.imag) * root[0].norm2

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ddqsim import strategies
 from ddqsim.approx import approximate_round
-from ddqsim.circuit import gen_shor_period
+from ddqsim.circuit import gen_shor_period, gen_supremacy
 from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
                        Context, _cell, _node_key, levels, squared_norm,
                        subtree_norms)
 from ddqsim.ops import apply
 from ddqsim.oracle import dense_fidelity, dense_simulate, random_state
-from ddqsim.strategies import FidelityDrivenConfig, simulate_fidelity_driven
+from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
+                               simulate_fidelity_driven, simulate_memory_driven)
 
 from conftest import random_circuit, random_permutation
 
@@ -318,6 +320,58 @@ def test_subtree_norms_match_dense_blocks():
     assert abs((w.real ** 2 + w.imag ** 2) * norms[id(root)] - whole) < 1e-12
 
 
+def _reference_norms(root) -> dict[int, float]:
+    """Squared norm of every reachable node's sub-vector, keyed by id, from
+    one bottom-up walk over the stored weights: the walk that each node's
+    cached ``norm2`` replaces."""
+    norms: dict[int, float] = {}
+    for bucket in reversed(levels(root)):
+        for node in bucket:
+            got = 0.0
+            for target, w in (node.low, node.high):
+                if w != 0:
+                    got += (w.real * w.real + w.imag * w.imag) * \
+                        (1.0 if target is TERMINAL else norms[id(target)])
+            norms[id(node)] = got
+    return norms
+
+
+def _assert_cached_norms_are_the_reference(state):
+    # Exact equality: the round planner and the pinned round records rely
+    # on the cached value being the walk's to the last bit.
+    ref = _reference_norms(state.root)
+    for node in chain.from_iterable(levels(state.root)):
+        assert node.norm2 == ref[id(node)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(amplitudes=st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.one_of(_AMPLITUDE, st.complex_numbers(
+        max_magnitude=2, allow_nan=False, allow_infinity=False)),
+    min_size=1 << n, max_size=1 << n)))
+def test_cached_norms_match_the_reference_walk(amplitudes):
+    v = np.array(amplitudes, dtype=complex)
+    norm = np.linalg.norm(v)
+    assume(norm > 1e-6)
+    _assert_cached_norms_are_the_reference(Context().from_dense(v / norm))
+
+
+def test_cached_norms_match_the_reference_walk_after_rounds(monkeypatch):
+    checked = []
+
+    def checked_round(state, f_round):
+        _assert_cached_norms_are_the_reference(state)
+        outcome = approximate_round(state, f_round)
+        _assert_cached_norms_are_the_reference(outcome.state)
+        checked.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(strategies, "approximate_round", checked_round)
+    simulate_memory_driven(gen_supremacy(3, 4, 6, 100),
+                           MemoryDrivenConfig(100, 0.95))
+    assert len(checked) > 10
+
+
 # -- garbage collection: keep what pinned roots reach ----------------------
 
 def test_collect_garbage_reclaims_released_states():
@@ -452,7 +506,7 @@ def test_memory_driven_rounds_keep_invariants_and_exact_fidelity(seed):
 
 
 @pytest.mark.parametrize("how", ["reachable", "key", "normalized", "phase",
-                                 "non-canonical", "one level down"])
+                                 "non-canonical", "one level down", "norm"])
 def test_check_invariants_detects_corruption(how):
     ctx = Context()
     state = ctx.from_dense(random_state(4, seed=3))
@@ -480,6 +534,8 @@ def test_check_invariants_detects_corruption(how):
         del ctx._vtable[key]
         node.low = (node.low[0].low[0], node.low[1])
         ctx._vtable[_node_key(node)] = node
+    elif how == "norm":
+        node.norm2 *= 1 + 1e-9
     else:
         # Move the low weight two cells over in place; its key still names
         # the old cell.
