@@ -29,11 +29,12 @@ def main() -> None:
     print()
     print("== cutting the cheapest branch ==")
     victim = next(nd for nd, c in contribs.items() if abs(c - 0.2) < 1e-9)
+    before = state.node_count()
     out = remove_nodes(state, [victim])
     print(f"removed one level-{victim.level} node "
           f"(contribution {contribs[victim]:.3f})")
     print(f"round fidelity: {out.round_fidelity:.3f}")
-    print(f"nodes: {out.nodes_before} -> {out.nodes_after}")
+    print(f"nodes: {before} -> {out.nodes_after}")
     print(f"pruned vector: {np.round(out.state.to_dense(), 4)}")
     state.release()
     out.state.release()
@@ -44,12 +45,13 @@ def main() -> None:
     state = ctx.from_dense(exact)
     bound = 1.0
     for f_round in (0.98, 0.9):
+        before = state.node_count()
         out = approximate_round(state, f_round)
         state.release()
         state = out.state
         bound *= out.round_fidelity
         print(f"budget {f_round}: kept fidelity {out.round_fidelity:.6f}, "
-              f"nodes {out.nodes_before} -> {out.nodes_after}")
+              f"nodes {before} -> {out.nodes_after}")
     realized = dense_fidelity(exact, state.to_dense())
     print(f"certified bound (product of rounds): {bound:.6f}")
     print(f"realized fidelity against the original: {realized:.6f}")

@@ -8,8 +8,9 @@ same hash for every record before and after.  Each record hashes
 * ``SimStats.as_dict()`` without ``wall_time_seconds``;
 * a SHA-256 of the final ``to_dense()`` vector (for GHZ, too wide to expand,
   its two nonzero amplitudes);
-* the return value of every ``collect_garbage()`` call;
-* the final size of the unique table;
+* the return value of every ``collect_garbage()`` call, the number of dead
+  unique-table entries it swept;
+* the final size of the unique table, dead entries included;
 * ``StateDD.norm()`` of the final state, so that a change to how norms are
   computed shows up even where the dense vector does not.
 
@@ -19,9 +20,9 @@ two checkouts that agree on every result can still differ there.
 
 Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 ``shor_fidelity`` benchmark workload; exact ``gen_supremacy(3, 4, 24, s)``
-for s = 11 and 4243 (six and five garbage collections); the 13-qubit QFT round
-trip; GHZ 300; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108
-at threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
+for s = 11 and 4243 (70 and 68 sweeps); the 13-qubit QFT round trip; GHZ
+300; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108 at
+threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
 so that collections run; and 10 random 6-qubit 60-gate circuits with a
 garbage collection after every gate.  The memory-driven records exist to
 exercise the round path, so the script raises if one of them fires no

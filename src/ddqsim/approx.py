@@ -27,15 +27,14 @@ class RoundOutcome:
 
     ``round_fidelity`` is the squared overlap between the states before and
     after the round; ``removed_mass`` is the squared norm it discarded
-    (``1 - round_fidelity`` for unit input).  Node counts are measured on
-    the root's reachable set, so shared collapse below the victims shows up
-    in ``nodes_after``.
+    (``1 - round_fidelity`` for unit input).  ``nodes_after`` is measured on
+    the new root's reachable set, so shared collapse below the victims shows
+    up in it.
     """
 
     state: StateDD
     round_fidelity: float
     removed_mass: float
-    nodes_before: int
     nodes_after: int
 
 
@@ -88,11 +87,10 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
     if kept == 0.0:
         raise ValueError("removal would annihilate the state")
     fidelity = kept / squared_norm(state.root)
-    new_root = (root[0], ctx.weight(root[1] / kept ** 0.5))
-    new_state = ctx.new_state(new_root, state.num_qubits)
+    new_state = ctx.new_state((root[0], root[1] / kept ** 0.5),
+                              state.num_qubits)
     return RoundOutcome(state=new_state, round_fidelity=fidelity,
                         removed_mass=1.0 - fidelity,
-                        nodes_before=state.node_count(),
                         nodes_after=new_state.node_count())
 
 

@@ -36,15 +36,20 @@ Conventions pinned here and relied on by every other module:
 * Weights: a node is stored under the cells of its outgoing weights on a
   grid of cell size ``EPS`` per component (see :func:`_node_key`), so
   sub-vectors whose normalized weights differ only by rounding dust share
-  one node, and the unique table cannot fill up with near-duplicates.  The
-  node keeps the raw normalized weights of the computation that first built
-  it.  Weights within ``EPS`` of zero in both components become the zero
-  stub.  Incoming scale factors stay raw.
+  one node, and the unique table cannot fill up with near-duplicates.  A
+  node keeps the raw normalized weights of the computation that built it,
+  for as long as it lives (see Liveness).  Weights within ``EPS`` of zero in
+  both components become the zero stub.  Incoming scale factors stay raw.
 * Index convention: bitstring ``b_{n-1}...b_0`` (qubit ``n-1`` written first)
   maps to the integer index with ``b_{n-1}`` most significant.
-* Liveness: each :class:`StateDD` handle pins its root node, and
-  :meth:`Context.collect_garbage` keeps exactly the nodes that pinned roots
-  reach, re-keyed in one walk of them.  Nodes carry no reference counts.
+* Liveness: CPython's reference counts decide it.  The unique table holds
+  each node through a weak reference without a callback, under a key that
+  names its children by ``uid``, so nothing but the edges of live parents
+  and the roots of :class:`StateDD` handles keeps a node alive, and a node
+  is freed the moment the last of those goes.  Its table entry then lies
+  dead until :meth:`Context.collect_garbage` sweeps it; a dead entry is
+  never returned, and its key cannot match a new node, because uids are
+  never reused.
 * No cycles: nodes point only down, at their children, and no helper is a
   closure that calls itself (a recursive walk is a module-level function
   that takes its memo and context as arguments).  The engine therefore
@@ -57,6 +62,7 @@ independent contexts may run concurrently in separate threads or processes.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +135,7 @@ class VNode:
     """Vector-diagram node: one qubit split into low/high sub-vectors, and
     the squared norm ``norm2`` of its sub-vector (see Conventions)."""
 
-    __slots__ = ("level", "low", "high", "uid", "norm2")
+    __slots__ = ("level", "low", "high", "uid", "norm2", "__weakref__")
 
     def __init__(self, level: int, low: Edge, high: Edge, uid: int,
                  norm2: float):
@@ -144,14 +150,14 @@ class VNode:
 
 
 def _node_key(node: VNode) -> tuple:
-    """Unique-table key of ``node``: its level, and per edge the target and
-    the weight's :func:`_cell` (``0j`` for a zero edge).
+    """Unique-table key of ``node``: its level, and per edge the target's
+    ``uid`` and the weight's :func:`_cell` (``0j`` for a zero edge).
 
     :meth:`Context.make_vnode` computes the same key inline.
     """
     nl = node.low
     nh = node.high
-    return (node.level, nl[0], _cell(nl[1]), nh[0], _cell(nh[1]))
+    return (node.level, nl[0].uid, _cell(nl[1]), nh[0].uid, _cell(nh[1]))
 
 
 class BoundedCache:
@@ -183,15 +189,13 @@ class BoundedCache:
 
 
 class Context:
-    """Owner of the vector-node unique table, the pins and the gate-diagram
-    cache.
+    """Owner of the vector-node unique table and the gate-diagram cache.
 
     All diagrams created through one context live in its tables; diagrams
     from different contexts must not be combined by operations that create
-    nodes.  Public handles (:class:`StateDD`) pin their root node; nodes no
-    pinned root reaches are reclaimed only by an explicit
-    :meth:`collect_garbage` call, so node counts observed between calls are
-    reproducible.
+    nodes.  The table holds its nodes weakly (see Conventions): a node lives
+    as long as a handle's root or a live parent's edge holds it, and
+    :meth:`collect_garbage` only sweeps the entries of nodes already freed.
 
     Operations memoize in dicts of their own that live for one gate, not in
     the context.  ``apply_cache`` and ``add_cache`` are unused bounded
@@ -203,9 +207,8 @@ class Context:
         # Always empty: nodes are keyed by weight cell and no weight table
         # exists.  Kept only because the benchmark tracer reads its length.
         self._weights: dict = {}
+        # Node key -> weakref.ref(node), without a callback.
         self._vtable: dict = {}
-        # Root node -> number of StateDD handles pinning it.
-        self._pins: dict[VNode, int] = {}
         self._next_uid = 1
         # Not read by this package; see DEFAULT_COMPUTE_TABLE_SIZE.
         self.apply_cache = BoundedCache(compute_table_size)
@@ -218,8 +221,9 @@ class Context:
         """``z`` as a complex, or exact zero if it lies within ``EPS`` of
         zero in both components.
 
-        Node weights get the same snap inside :meth:`make_vnode`; root and
-        matrix weights get it here.
+        Node weights get the same snap inside :meth:`make_vnode`; matrix
+        weights and dense amplitudes get it here.  A root weight is snapped
+        only when the whole state's squared norm is below ``EPS**2``.
         """
         re = z.real
         im = z.imag
@@ -241,11 +245,11 @@ class Context:
         magnitudes.  A child whose relative weight falls below ``EPS``
         collapses to the zero stub; if everything vanishes, so does the
         node.  The node is looked up under :func:`_node_key` of the
-        normalized edges: a node found keeps the weights it was built with,
-        which lie in the same cells as the ones asked for; a node built
-        stores the normalized weights as they are, and as ``norm2`` the
-        chosen child's plus the other weight's squared magnitude times the
-        other child's.
+        normalized edges: a live node found keeps the weights it was built
+        with, which lie in the same cells as the ones asked for; a node
+        built, also in place of a dead entry, stores the normalized weights
+        as they are, and as ``norm2`` the chosen child's plus the other
+        weight's squared magnitude times the other child's.
         """
         wl = low[1]
         wh = high[1]
@@ -262,11 +266,12 @@ class Context:
             re = w.real
             im = w.imag
             if -EPS <= re <= EPS and -EPS <= im <= EPS:
-                key = (level, TERMINAL, 0j, high[0], _UNIT_CELL)
+                key = (level, 0, 0j, high[0].uid, _UNIT_CELL)
             else:
-                key = (level, low[0], w / EPS + _SNAP - _SNAP, high[0],
-                       _UNIT_CELL)
-            node = self._vtable.get(key)
+                key = (level, low[0].uid, w / EPS + _SNAP - _SNAP,
+                       high[0].uid, _UNIT_CELL)
+            ref = self._vtable.get(key)
+            node = None if ref is None else ref()
             if node is None:
                 hn = high[0]
                 if key[2] == 0:
@@ -277,7 +282,7 @@ class Context:
                     norm2 = hn.norm2 + (re * re + im * im) * low[0].norm2
                 node = VNode(level, nl, (hn, 1.0 + 0j), self._next_uid, norm2)
                 self._next_uid += 1
-                self._vtable[key] = node
+                self._vtable[key] = weakref.ref(node)
             return (node, wh)
         if ml <= EPS:
             return ZERO
@@ -285,11 +290,12 @@ class Context:
         re = w.real
         im = w.imag
         if -EPS <= re <= EPS and -EPS <= im <= EPS:
-            key = (level, low[0], _UNIT_CELL, TERMINAL, 0j)
+            key = (level, low[0].uid, _UNIT_CELL, 0, 0j)
         else:
-            key = (level, low[0], _UNIT_CELL, high[0],
+            key = (level, low[0].uid, _UNIT_CELL, high[0].uid,
                    w / EPS + _SNAP - _SNAP)
-        node = self._vtable.get(key)
+        ref = self._vtable.get(key)
+        node = None if ref is None else ref()
         if node is None:
             ln = low[0]
             if key[4] == 0:
@@ -300,63 +306,56 @@ class Context:
                 norm2 = ln.norm2 + (re * re + im * im) * high[0].norm2
             node = VNode(level, (ln, 1.0 + 0j), nh, self._next_uid, norm2)
             self._next_uid += 1
-            self._vtable[key] = node
+            self._vtable[key] = weakref.ref(node)
         return (node, wl)
 
     # -- garbage collection ----------------------------------------------
 
     def collect_garbage(self) -> int:
-        """Drop every vector node no pinned root reaches; returns the count.
+        """Drop the entries of freed nodes; returns how many were dropped.
 
-        One walk of the pinned roots rebuilds the unique table in walk
-        order, each node keyed by :func:`_node_key`.  A fresh dict returns
-        the memory the dropped entries held, and the dead entries are never
-        visited.  Surviving nodes keep their weights and their keys.  No
-        operation memo outlives its gate, so none can mention a reclaimed
-        node.  ``gate_dds`` is cleared too and rebuilt on demand, so a long
-        run of distinct parametric gates cannot grow it without bound.
+        Reference counting has already freed every node nothing holds, so
+        this sweep only reads each entry's weakref and keeps the live ones,
+        in table order, in a fresh dict that returns the memory the dead
+        entries held.  Live nodes keep their weights and their keys.
+        ``gate_dds`` is cleared too and rebuilt on demand, so a long run of
+        distinct parametric gates cannot grow it without bound.
         """
         self.gate_dds.clear()
         before = len(self._vtable)
-        vtable: dict = {}
-        for node in self._pinned_nodes():
-            vtable[_node_key(node)] = node
-        self._vtable = vtable
-        return before - len(vtable)
-
-    def _pinned_nodes(self):
-        """Every node a pinned root reaches, root by root in walk order.
-
-        A node that several pinned roots reach comes once per root.
-        """
-        for root in self._pins:
-            for bucket in levels((root, 1.0)):
-                yield from bucket
+        self._vtable = {key: ref for key, ref in self._vtable.items()
+                        if ref() is not None}
+        return before - len(self._vtable)
 
     def unique_table_size(self) -> int:
-        """Number of vector nodes currently stored (live or not)."""
+        """Number of unique-table entries, dead ones included until the
+        next :meth:`collect_garbage`."""
         return len(self._vtable)
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` unless the vector-node table is sound.
 
-        Checks that each unique-table key names its node's level and edge
-        targets, and the cells of its stored weights (a weight outside the
-        cell its key names is non-canonical); that each node is normalized,
-        its chosen edge (the low one unless that is not exactly 1) storing
-        exactly ``1+0j`` and the other edge a magnitude of at most
-        ``1 + EPS`` up to rounding (checked to ``1 + 2 * EPS``); that each
-        nonzero edge leads exactly one level down and each zero edge is the
-        zero stub, which :meth:`StateDD.node_count` relies on; that each
-        node's ``norm2`` is bit for bit the one its weights and children
-        give; and that every node a pinned root reaches is the node stored
-        under its own key.  A test aid: it walks the table and every pinned
-        diagram and changes nothing.
+        Skips dead entries.  For each live node, checks that its key names
+        its level, the uids of its edge targets and the cells of its stored
+        weights (a weight outside the cell its key names is non-canonical);
+        that it is normalized, its chosen edge (the low one unless that is
+        not exactly 1) storing exactly ``1+0j`` and the other edge a
+        magnitude of at most ``1 + EPS`` up to rounding (checked to
+        ``1 + 2 * EPS``); that each nonzero edge leads exactly one level down
+        and each zero edge is the zero stub, which
+        :meth:`StateDD.node_count` relies on; that every nonzero child is
+        the live node stored under its own key; and that its ``norm2`` is
+        bit for bit the one its weights and children give.  A test aid: it
+        walks the table once and changes nothing.
         """
-        for key, node in self._vtable.items():
+        vtable = self._vtable
+        for key, ref in vtable.items():
+            node = ref()
+            if node is None:
+                continue
             nl = node.low
             nh = node.high
-            if (key[0], key[1], key[3]) != (node.level, nl[0], nh[0]):
+            if (key[0], key[1], key[3]) != (node.level, nl[0].uid, nh[0].uid):
                 raise AssertionError(f"unique-table key {key} does not match {node}")
             if (key[2], key[4]) != (_cell(nl[1]), _cell(nh[1])):
                 raise AssertionError(
@@ -378,16 +377,17 @@ class Context:
                         f"{node} has an edge to {target} that neither leads "
                         f"one level down nor is the zero stub")
                 if w != 0:
+                    if target is not TERMINAL:
+                        stored = vtable.get(_node_key(target))
+                        if stored is None or stored() is not target:
+                            raise AssertionError(
+                                f"{target}, reachable from {node}, is not "
+                                f"stored under its key")
                     norm2 += (w.real * w.real + w.imag * w.imag) * target.norm2
             if node.norm2 != norm2:
                 raise AssertionError(
                     f"{node} stores a squared norm {node.norm2!r} that its "
                     f"weights and children give as {norm2!r}")
-        for node in self._pinned_nodes():
-            if self._vtable.get(_node_key(node)) is not node:
-                raise AssertionError(
-                    f"{node}, reachable from a pinned root, is not stored "
-                    f"under its key")
 
     # -- state construction ----------------------------------------------
 
@@ -426,10 +426,8 @@ class Context:
         return self.make_vnode(level, low, high)
 
     def new_state(self, root: Edge, num_qubits: int) -> "StateDD":
-        """Wrap a root edge as a pinned state handle (low-level)."""
-        node = root[0]
-        if node is not TERMINAL:
-            self._pins[node] = self._pins.get(node, 0) + 1
+        """Wrap a root edge as a state handle (low-level); the handle's
+        reference to the root keeps the diagram alive."""
         return StateDD(self, root, num_qubits)
 
 
@@ -437,10 +435,9 @@ class Context:
 class StateDD:
     """Handle to a decision diagram representing a ``2**num_qubits`` vector.
 
-    Holding one pins the root node: :meth:`Context.collect_garbage` keeps
-    everything it reaches.  Call :meth:`release` (once) when a long-running
-    loop is done with an intermediate state so the collector can reclaim
-    what no other pinned root reaches.
+    The handle holds its root edge, and so keeps alive every node the root
+    reaches; the nodes nothing else holds are freed when the last handle
+    drops them (see the ``dd`` Conventions).
     """
 
     context: Context
@@ -448,13 +445,9 @@ class StateDD:
     num_qubits: int
 
     def release(self) -> None:
-        node = self.root[0]
-        if node is not TERMINAL:
-            pins = self.context._pins
-            if pins[node] == 1:
-                del pins[node]
-            else:
-                pins[node] -= 1
+        """Drop this handle's root (it becomes ``None``), so the nodes that
+        only this handle held are freed even while the handle lives on."""
+        self.root = None
 
     def amplitude(self, bits: str) -> complex:
         """Product of edge weights along the path selected by ``bits``.

@@ -18,13 +18,13 @@ phase-canonical rule would share nothing more.
 Matrix-vector products and sums are memoized per operation: :func:`apply`
 builds two fresh dicts for each gate, passes them down the recursion and
 drops them when it returns.  Entries are keyed by the node objects, which is
-sound because nodes are hash-consed and no garbage collection runs inside a
-gate.  A sum of two edges into the same node is that node with the summed
-weight; it builds nothing, where adding the two node by node would walk the
-whole shared subtree only to find the same node.  Other addition memos are
-keyed on the weight ratio of the operands, so ``a + c*b`` is shared across
-common rescalings.  Results reused across gates saved almost nothing, so no
-compute table outlives its gate.
+sound because nodes are hash-consed and a memo holds every node it names
+alive until the gate is done.  A sum of two edges into the same node is
+that node with the summed weight; it builds nothing, where adding the two
+node by node would walk the whole shared subtree only to find the same
+node.  Other addition memos are keyed on the weight ratio of the operands,
+so ``a + c*b`` is shared across common rescalings.  Results reused across
+gates saved almost nothing, so no compute table outlives its gate.
 """
 from __future__ import annotations
 
@@ -152,7 +152,11 @@ def apply(state: StateDD, gate: Gate) -> StateDD:
             raise CapacityError(
                 f"a {state.num_qubits}-qubit register is too deep for "
                 f"recursive gate application") from e
-    w = ctx.weight(state.root[1] * mw * ow)
+    w = state.root[1] * mw * ow
+    # Snap by the state's squared norm, not by the weight: a unit state's
+    # root weight is 1/sqrt(norm2), below EPS from 87 qubits on.
+    if (w.real * w.real + w.imag * w.imag) * out.norm2 <= EPS * EPS:
+        w = 0j
     return ctx.new_state((out, w), state.num_qubits)
 
 

@@ -1,6 +1,6 @@
 """Simulation drivers: exact, memory-driven, and fidelity-driven runs.
 
-All drivers walk the gate list once, keeping a single pinned state diagram.
+All drivers walk the gate list once, keeping a single state diagram.
 The approximating drivers differ only in when they fire a removal round:
 
 * memory-driven: after any gate that leaves the node count above a fixed
@@ -38,11 +38,11 @@ from .circuit import Circuit
 from .dd import Context, StateDD
 from .ops import apply
 
-#: Unique-table size that triggers a garbage collection sweep.  A collection
-#: walks only the live nodes, and ``_run`` then raises the trigger to twice
-#: the live count, so a low floor keeps few dead nodes (each owning its two
-#: weights) alive at an amortized cost.
-GC_WATERMARK = 1 << 16
+#: Unique-table size that triggers a sweep of its dead entries.  Dead nodes
+#: are already freed; a sweep only reads each entry, and ``_run`` then
+#: raises the trigger to twice the live count, so a low floor keeps few dead
+#: entries at an amortized cost.
+GC_WATERMARK = 1 << 12
 
 
 @dataclass
@@ -189,6 +189,10 @@ def simulate_fidelity_driven(circuit: Circuit, config: FidelityDrivenConfig,
 def _run(circuit: Circuit, context: Context | None, mode: str, policy):
     """Shared gate loop; ``policy(gates_done, node_count)`` may fire a round.
 
+    The count taken right after each gate is the one a round's record
+    reports as ``nodes_before``.  Once the unique table holds more than the
+    watermark, :meth:`Context.collect_garbage` sweeps its dead entries, and
+    the watermark becomes twice the live count, or ``GC_WATERMARK`` if more.
     Python's cyclic garbage collector is paused for the loop, rounds and
     :meth:`Context.collect_garbage` included, and switched back on afterwards
     only if it was on before, also when the loop raises.  The engine makes
@@ -211,9 +215,7 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy):
     gc.disable()
     try:
         for i, gate in enumerate(circuit.ops):
-            new = apply(state, gate)
-            state.release()
-            state = new
+            state = apply(state, gate)
             count = state.node_count()
             if count > stats.max_dd_size:
                 stats.max_dd_size = count
@@ -221,14 +223,13 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy):
             if fired is not None:
                 f_round, trigger = fired
                 outcome = approximate_round(state, f_round)
-                state.release()
                 state = outcome.state
-                count = outcome.nodes_after
                 stats.rounds.append(RoundRecord(
                     after_gate=i + 1, trigger=trigger,
-                    nodes_before=outcome.nodes_before,
+                    nodes_before=count,
                     nodes_after=outcome.nodes_after,
                     round_fidelity=outcome.round_fidelity))
+                count = outcome.nodes_after
             if ctx.unique_table_size() > watermark:
                 ctx.collect_garbage()
                 watermark = max(GC_WATERMARK, 2 * ctx.unique_table_size())

@@ -94,7 +94,7 @@ def test_remove_nothing_is_identity():
     outcome = remove_nodes(state, [])
     assert outcome.round_fidelity == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(outcome.state.to_dense(), state.to_dense(), atol=1e-12)
-    assert outcome.nodes_before == outcome.nodes_after
+    assert state.node_count() == outcome.nodes_after
 
 
 def test_deep_rebuild_is_a_capacity_error():
@@ -146,7 +146,7 @@ def test_round_keeps_unit_norm():
     state = evolved_state(ctx, 6, 30, seed=11)
     outcome = approximate_round(state, 0.9)
     assert outcome.state.norm() == pytest.approx(1.0, abs=1e-12)
-    assert outcome.nodes_after <= outcome.nodes_before
+    assert outcome.nodes_after <= state.node_count()
     assert outcome.removed_mass == pytest.approx(
         1.0 - outcome.round_fidelity, abs=1e-12)
 
@@ -169,4 +169,4 @@ def test_balanced_state_survives_aggressive_round():
     state = ctx.from_dense(vec)
     outcome = approximate_round(state, 0.9)
     assert outcome.round_fidelity == pytest.approx(1.0, abs=1e-12)
-    assert outcome.nodes_after == outcome.nodes_before
+    assert outcome.nodes_after == state.node_count()

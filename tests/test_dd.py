@@ -1,11 +1,17 @@
 """Core diagram tests: canonical construction, lookups, round trips, GC."""
+import os
 import random
+import subprocess
+import sys
+import weakref
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import ddqsim
 from ddqsim import strategies
 from ddqsim.approx import approximate_round
 from ddqsim.circuit import gen_shor_period, gen_supremacy
@@ -372,7 +378,56 @@ def test_cached_norms_match_the_reference_walk_after_rounds(monkeypatch):
     assert len(checked) > 10
 
 
-# -- garbage collection: keep what pinned roots reach ----------------------
+# -- liveness: reference counts free nodes, sweeps drop their entries ------
+
+def test_dropping_the_last_handle_frees_the_diagram_at_once():
+    ctx = Context()
+    state = ctx.from_dense(random_state(5, seed=4))
+    other = ctx.new_state(state.root, state.num_qubits)
+    root = weakref.ref(state.root[0])
+    nodes = [weakref.ref(node) for node in chain.from_iterable(levels(state.root))]
+    size = ctx.unique_table_size()
+    state.release()
+    assert root() is not None
+    del other
+    assert root() is None
+    assert all(ref() is None for ref in nodes)
+    # No collect_garbage call ran: the entries are still there, all dead.
+    assert ctx.unique_table_size() == size == len(nodes)
+
+
+def test_sweep_returns_the_number_of_dead_entries():
+    ctx = Context()
+    keep = ctx.from_dense(random_state(5, seed=9))
+    drop = ctx.from_dense(random_state(5, seed=10))
+    live = keep.node_count()
+    dead = drop.node_count()
+    assert ctx.unique_table_size() == live + dead
+    drop.release()
+    assert sum(ref() is None for ref in ctx._vtable.values()) == dead
+    assert ctx.collect_garbage() == dead
+    assert ctx.unique_table_size() == live
+    assert ctx.collect_garbage() == 0
+    ctx.check_invariants()
+
+
+def test_dropping_a_deep_chain_does_not_crash():
+    # Freeing a chain frees each node from inside its parent's deallocation,
+    # 200,000 deep.  A crash there would end the interpreter, so the chain
+    # is dropped in a child process.
+    code = ("from ddqsim.dd import Context\n"
+            "ctx = Context()\n"
+            "state = ctx.make_basis_state(200000, '0' * 200000)\n"
+            "del state\n"
+            "print(ctx.collect_garbage())\n")
+    src = str(Path(ddqsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["200000"]
+
 
 def test_collect_garbage_reclaims_released_states():
     ctx = Context()
@@ -514,26 +569,27 @@ def test_check_invariants_detects_corruption(how):
     node = state.root[0]
     key = _node_key(node)
     if how == "reachable":
-        del ctx._vtable[key]
+        # A live node's child loses its entry.
+        del ctx._vtable[_node_key(node.low[0])]
     elif how == "key":
         ctx._vtable[(node.level + 1, *key[1:])] = ctx._vtable.pop(key)
     elif how == "normalized":
         del ctx._vtable[key]
         node.low = (node.low[0], node.low[1] * 0.5)
         node.high = (node.high[0], node.high[1] * 0.5)
-        ctx._vtable[_node_key(node)] = node
+        ctx._vtable[_node_key(node)] = weakref.ref(node)
     elif how == "phase":
         # The larger weight keeps magnitude 1 but turns by 0.25 rad.
         del ctx._vtable[key]
         turn = complex(np.exp(0.25j))
         node.low = (node.low[0], node.low[1] * turn)
         node.high = (node.high[0], node.high[1] * turn)
-        ctx._vtable[_node_key(node)] = node
+        ctx._vtable[_node_key(node)] = weakref.ref(node)
     elif how == "one level down":
         # Skip a level: the low edge keeps its weight but jumps two down.
         del ctx._vtable[key]
         node.low = (node.low[0].low[0], node.low[1])
-        ctx._vtable[_node_key(node)] = node
+        ctx._vtable[_node_key(node)] = weakref.ref(node)
     elif how == "norm":
         node.norm2 *= 1 + 1e-9
     else:

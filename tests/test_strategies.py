@@ -136,6 +136,19 @@ def test_ghz_500_ends_at_999_nodes():
     assert stats.final_dd_size == stats.max_dd_size == 999
 
 
+def uniform_superposition(n: int) -> Circuit:
+    return Circuit(n, [Gate("H", (q,)) for q in range(n)], name=f"h_{n}")
+
+
+@pytest.mark.parametrize("n", [87, 200])
+def test_wide_uniform_superposition_keeps_unit_norm(n):
+    # The root weight is 2^(-n/2), below EPS from 87 qubits on; only the
+    # state's norm, not the weight, may decide that the state is zero.
+    state, stats = simulate_exact(uniform_superposition(n))
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert stats.final_dd_size == n
+
+
 def test_exact_empty_circuit():
     state, stats = simulate_exact(Circuit(3, [], initial_state="101"))
     assert state.amplitude("101") == 1.0
@@ -313,6 +326,14 @@ def test_fidelity_driven_ghz_rounds_remove_nothing():
     assert all(r.round_fidelity == pytest.approx(1.0, abs=1e-12)
                for r in stats.rounds)
     assert np.allclose(state_f.to_dense(), state_e.to_dense(), atol=1e-10)
+
+
+def test_fidelity_driven_wide_uniform_superposition_keeps_unit_norm():
+    state, stats = simulate_fidelity_driven(
+        uniform_superposition(100), FidelityDrivenConfig(0.5, 0.9))
+    assert stats.rounds
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert stats.final_dd_size == 100
 
 
 def test_fidelity_config_validation():
