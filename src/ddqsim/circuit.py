@@ -3,7 +3,10 @@
 A :class:`Circuit` is a flat gate list over ``num_qubits`` qubits starting
 from a computational basis state.  Gates are stored controls-out: ``cx`` is
 an ``X`` with one control, ``ccx`` an ``X`` with two, so the simulator only
-needs base single-target matrices plus SWAP and PERMUTATION.  ``markers``
+needs base single-target matrices plus SWAP and PERMUTATION.  The simulator
+reads them as sparse entries from :func:`gate_entries`, built with
+:mod:`math` and :mod:`cmath`; only the dense view :func:`gate_matrix`, which
+the oracle and the tests use, imports numpy.  ``markers``
 records barrier positions as "number of gates before the barrier"; the
 fidelity-driven scheduler can use them as approximation points.
 
@@ -13,13 +16,16 @@ basis index, matching bitstrings written ``b_{n-1}...b_0``.
 from __future__ import annotations
 
 import ast
+import cmath
 import math
 import random
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Gate kinds whose matrix takes no parameter.
 FIXED_KINDS = ("H", "X", "Y", "Z", "S", "SDG", "T", "TDG", "SQRTX", "SQRTY", "SWAP")
@@ -97,44 +103,70 @@ class Circuit:
                 raise ValueError(f"marker {m} outside 0..{len(self.ops)}")
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Unitary on the gate's targets (controls excluded), local-bit order."""
+def gate_entries(gate: Gate) -> dict[tuple[int, int], complex]:
+    """Nonzero entries ``(row, col) -> weight`` of the unitary on the gate's
+    targets (controls excluded), local-bit order, rows ascending.
+
+    Built with :mod:`math` and :mod:`cmath` alone, so simulation never
+    loads numpy; a PERMUTATION is read straight from its table, with no
+    ``2**k`` by ``2**k`` matrix.  Each entry is the complex number that the
+    usual dense formula gives when numpy evaluates it, bit for bit.
+    """
     k = gate.kind
-    if k in _FIXED_MATRICES:
-        return _FIXED_MATRICES[k].copy()
+    fixed = _FIXED_ENTRIES.get(k)
+    if fixed is not None:
+        return dict(fixed)
     a = gate.angle
-    if k == "RX":
-        c, s = math.cos(a / 2), math.sin(a / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if k == "RY":
-        c, s = math.cos(a / 2), math.sin(a / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
+    if k == "RX" or k == "RY":
+        c = complex(math.cos(a / 2))
+        s = math.sin(a / 2)
+        if k == "RX":
+            lo, hi = -1j * s, -1j * s
+        else:
+            lo, hi = complex(-s), complex(s)
+        # The off-diagonal vanishes where sin(a/2) is zero.
+        entries = {(0, 0): c, (0, 1): lo, (1, 0): hi, (1, 1): c}
+        return {rc: w for rc, w in entries.items() if w != 0}
     if k == "RZ":
-        return np.array([[np.exp(-0.5j * a), 0], [0, np.exp(0.5j * a)]], dtype=complex)
+        return {(0, 0): cmath.exp(-0.5j * a), (1, 1): cmath.exp(0.5j * a)}
     if k == "PHASE":
-        return np.array([[1, 0], [0, np.exp(1j * a)]], dtype=complex)
+        return {(0, 0): 1 + 0j, (1, 1): cmath.exp(1j * a)}
     if k == "PERMUTATION":
-        dim = 1 << len(gate.targets)
-        m = np.zeros((dim, dim), dtype=complex)
-        for col, row in enumerate(gate.table):
-            m[row, col] = 1.0
-        return m
+        # table[col] is the row of column col's single 1.
+        return dict.fromkeys(sorted(zip(gate.table, range(len(gate.table)))),
+                             1 + 0j)
     raise ValueError(f"unknown gate kind {k!r}")
 
 
-_FIXED_MATRICES = {
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(0.25j * math.pi)]], dtype=complex),
-    "TDG": np.array([[1, 0], [0, np.exp(-0.25j * math.pi)]], dtype=complex),
-    "SQRTX": np.array([[_A, _A.conjugate()], [_A.conjugate(), _A]], dtype=complex),
-    "SQRTY": np.array([[_A, -_A], [_A, _A]], dtype=complex),
-    "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                     dtype=complex),
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """Unitary on the gate's targets (controls excluded), local-bit order.
+
+    A dense complex view of :func:`gate_entries`, for the dense oracle and
+    the tests; it imports numpy, which simulation never needs.
+    """
+    import numpy as np
+
+    dim = 1 << len(gate.targets)
+    m = np.zeros((dim, dim), dtype=complex)
+    for (row, col), w in gate_entries(gate).items():
+        m[row, col] = w
+    return m
+
+
+_FIXED_ENTRIES = {
+    "H": {(0, 0): complex(_SQ2), (0, 1): complex(_SQ2),
+          (1, 0): complex(_SQ2), (1, 1): complex(-_SQ2)},
+    "X": {(0, 1): 1 + 0j, (1, 0): 1 + 0j},
+    "Y": {(0, 1): -1j, (1, 0): 1j},
+    "Z": {(0, 0): 1 + 0j, (1, 1): -1 + 0j},
+    "S": {(0, 0): 1 + 0j, (1, 1): 1j},
+    "SDG": {(0, 0): 1 + 0j, (1, 1): -1j},
+    "T": {(0, 0): 1 + 0j, (1, 1): cmath.exp(0.25j * math.pi)},
+    "TDG": {(0, 0): 1 + 0j, (1, 1): cmath.exp(-0.25j * math.pi)},
+    "SQRTX": {(0, 0): _A, (0, 1): _A.conjugate(),
+              (1, 0): _A.conjugate(), (1, 1): _A},
+    "SQRTY": {(0, 0): _A, (0, 1): -_A, (1, 0): _A, (1, 1): _A},
+    "SWAP": {(0, 0): 1 + 0j, (1, 2): 1 + 0j, (2, 1): 1 + 0j, (3, 3): 1 + 0j},
 }
 
 

@@ -20,7 +20,6 @@ import time
 import warnings
 from pathlib import Path
 
-from . import oracle
 from .circuit import (Circuit, QasmParseError, gen_ghz, gen_qft,
                       gen_shor_period, gen_supremacy, parse_qasm)
 from .dd import CapacityError
@@ -209,6 +208,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             verify = {"oracle_fidelity": None}
         else:
+            # The dense oracle needs numpy, which nothing else here loads.
+            from . import oracle
+
             reference = oracle.dense_simulate(circuit)
             verify = {"oracle_fidelity":
                       oracle.dense_fidelity(reference, state.to_dense())}

@@ -54,18 +54,26 @@ Conventions pinned here and relied on by every other module:
   closure that calls itself (a recursive walk is a module-level function
   that takes its memo and context as arguments).  The engine therefore
   makes no reference cycles, Python's reference counting frees a dropped
-  diagram, memo or context at once, and the drivers in
-  :mod:`ddqsim.strategies` can pause the cyclic garbage collector.
+  diagram, memo or context at once, and gate application and the drivers in
+  :mod:`ddqsim.strategies` pause the cyclic garbage collector (see
+  :func:`collector_paused`).
+* Dense paths: numpy is imported only by the functions that take or return
+  a dense vector (:meth:`Context.from_dense`, :meth:`StateDD.to_dense` and
+  its helpers), so building and simulating diagrams never loads it.
 
 A :class:`Context` owns all tables and is meant for single-threaded use;
 independent contexts may run concurrently in separate threads or processes.
 """
 from __future__ import annotations
 
+import gc
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Weight-cell size and zero-snap tolerance (component-wise).
 EPS = 1e-13
@@ -93,6 +101,25 @@ Edge = tuple
 
 class CapacityError(RuntimeError):
     """An operation would exceed a hard size guard."""
+
+
+@contextmanager
+def collector_paused():
+    """Pause Python's cyclic garbage collector for the block, and switch it
+    back on afterwards only if it was on before, also when the block raises.
+
+    The engine makes no reference cycles (see Conventions), so reference
+    counting frees everything a block drops, and the collector would only
+    re-scan the live diagram again and again.  Inside a block where the
+    collector is already off, this leaves it off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _cell(z: complex) -> complex:
@@ -405,7 +432,12 @@ class Context:
         return self.new_state(edge, num_qubits)
 
     def from_dense(self, vector) -> "StateDD":
-        """Build the canonical diagram of a unit-norm amplitude vector."""
+        """Build the canonical diagram of a unit-norm amplitude vector.
+
+        Imports numpy, as every dense path does (see Conventions).
+        """
+        import numpy as np
+
         v = np.asarray(vector, dtype=complex)
         dim = v.shape[0] if v.ndim == 1 else 0
         if v.ndim != 1 or dim < 2 or dim & (dim - 1):
@@ -446,8 +478,20 @@ class StateDD:
 
     def release(self) -> None:
         """Drop this handle's root (it becomes ``None``), so the nodes that
-        only this handle held are freed even while the handle lives on."""
+        only this handle held are freed even while the handle lives on.
+
+        A released handle prints as released, and reading its state
+        (:meth:`amplitude`, :meth:`to_dense`, :meth:`node_count`,
+        :meth:`norm`) raises ``ValueError``.
+        """
         self.root = None
+
+    def _live_root(self) -> Edge:
+        """The root edge, or ``ValueError`` if the handle was released."""
+        root = self.root
+        if root is None:
+            raise ValueError("this StateDD was released; its root is gone")
+        return root
 
     def amplitude(self, bits: str) -> complex:
         """Product of edge weights along the path selected by ``bits``.
@@ -457,7 +501,7 @@ class StateDD:
         :func:`_scaled`), so both report bit-identical values.
         """
         _check_bits(bits, self.num_qubits)
-        node, rw = self.root
+        node, rw = self._live_root()
         if rw == 0:
             return 0j
         path = []
@@ -472,12 +516,16 @@ class StateDD:
         return complex(rw * acc)
 
     def to_dense(self) -> np.ndarray:
-        """Expand to the full amplitude vector (guarded above 20 qubits)."""
+        """Expand to the full amplitude vector (guarded above 20 qubits).
+
+        Loads numpy, through :func:`_expand` and :func:`_scaled`.
+        """
+        node, w = self._live_root()
         if self.num_qubits > DENSE_QUBIT_LIMIT:
             raise CapacityError(
                 f"refusing dense expansion of {self.num_qubits} qubits "
                 f"(limit {DENSE_QUBIT_LIMIT})")
-        return _scaled(self.root[1], _expand(self.root[0], {}))
+        return _scaled(w, _expand(node, {}))
 
     def node_count(self) -> int:
         """Number of distinct non-terminal nodes reachable from the root.
@@ -488,7 +536,7 @@ class StateDD:
         exactly one level down (see the module's Conventions), and no
         bucket lists are built, unlike :func:`levels`.
         """
-        node, w = self.root
+        node, w = self._live_root()
         if w == 0 or node is TERMINAL:
             return 0
         count = 0
@@ -506,9 +554,11 @@ class StateDD:
 
     def norm(self) -> float:
         """Euclidean norm of the represented vector."""
-        return squared_norm(self.root) ** 0.5
+        return squared_norm(self._live_root()) ** 0.5
 
     def __repr__(self) -> str:
+        if self.root is None:
+            return f"StateDD(num_qubits={self.num_qubits}, released)"
         return f"StateDD(num_qubits={self.num_qubits}, nodes={self.node_count()})"
 
 
@@ -518,7 +568,12 @@ def _check_bits(bits: str, num_qubits: int) -> None:
 
 
 def _expand(node, memo: dict[int, np.ndarray]) -> np.ndarray:
-    """Dense sub-vector of a weight-stripped node; ``memo`` is keyed by id."""
+    """Dense sub-vector of a weight-stripped node; ``memo`` is keyed by id.
+
+    Imports numpy; see :meth:`StateDD.to_dense`.
+    """
+    import numpy as np
+
     if node is TERMINAL:
         return np.ones(1, dtype=complex)
     got = memo.get(id(node))
@@ -541,8 +596,10 @@ def _scaled(w: complex, v: np.ndarray) -> np.ndarray:
     NumPy's complex multiply may fuse a multiply and an add into one
     rounding, so it can differ in the last bit from the Python product that
     :meth:`StateDD.amplitude` takes; separate float operations round each
-    step as Python does.
+    step as Python does.  Imports numpy; see :meth:`StateDD.to_dense`.
     """
+    import numpy as np
+
     out = np.empty_like(v)
     out.real = w.real * v.real - w.imag * v.imag
     out.imag = w.real * v.imag + w.imag * v.real

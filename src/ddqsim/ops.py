@@ -3,7 +3,9 @@
 A gate becomes a matrix diagram over only the qubits it touches; levels it
 never mentions are skipped entirely (applying it treats them as identity on
 the fly).  Matrix diagrams are built from a sparse ``(row, col) -> weight``
-map over the touched qubits with controls folded in as diagonal blocks, so
+map over the touched qubits, the gate's
+:func:`~ddqsim.circuit.gate_entries` with controls folded in as diagonal
+blocks, so
 one code path covers plain, controlled and permutation gates.  A block that
 is the identity on every touched qubit below it is the terminal itself, so
 the recursion ends there and the control-0 halves of controlled gates and
@@ -28,8 +30,9 @@ gates saved almost nothing, so no compute table outlives its gate.
 """
 from __future__ import annotations
 
-from .circuit import Gate, gate_matrix
-from .dd import EPS, ONE, TERMINAL, ZERO, CapacityError, Context, Edge, StateDD
+from .circuit import Gate, gate_entries
+from .dd import (EPS, ONE, TERMINAL, ZERO, CapacityError, Context, Edge,
+                 StateDD, collector_paused)
 
 
 class MNode:
@@ -107,9 +110,9 @@ def _folded_entries(gate: Gate, touched: list[int]) -> dict:
 
     Local bit ``p`` stands for qubit ``touched[p]``.  Control bits act as
     diagonal selectors: rows/columns whose control bits are not all ones lie
-    on an identity block.
+    on an identity block.  The all-ones block holds the target unitary's
+    nonzero entries from :func:`ddqsim.circuit.gate_entries`, as they are.
     """
-    u = gate_matrix(gate)
     tpos = [touched.index(q) for q in gate.targets]
     cmask = 0
     for q in gate.controls:
@@ -121,43 +124,49 @@ def _folded_entries(gate: Gate, touched: list[int]) -> dict:
         if (bits & cmask) != cmask:
             entries[(bits, bits)] = 1.0 + 0j
     # The target unitary on the all-ones control block.
-    for tr, tc in zip(*u.nonzero()):
+    for (tr, tc), w in gate_entries(gate).items():
         row = cmask
         col = cmask
         for b, p in enumerate(tpos):
-            row |= ((int(tr) >> b) & 1) << p
-            col |= ((int(tc) >> b) & 1) << p
-        entries[(row, col)] = complex(u[tr, tc])
+            row |= ((tr >> b) & 1) << p
+            col |= ((tc >> b) & 1) << p
+        entries[(row, col)] = w
     return entries
 
 
 def apply(state: StateDD, gate: Gate) -> StateDD:
-    """Apply ``gate`` and return the new state (the input is left intact)."""
+    """Apply ``gate`` and return the new state (the input is left intact).
+
+    Python's cyclic garbage collector is paused while the gate runs (see
+    :func:`ddqsim.dd.collector_paused`): a gate builds many nodes, and each
+    collection would re-scan the whole live diagram.
+    """
     ctx = state.context
     qs = gate.qubits()
     if len(set(qs)) != len(qs):
         raise ValueError(f"gate {gate.kind} reuses a qubit: {qs}")
     if any(q < 0 or q >= state.num_qubits for q in qs):
         raise ValueError(f"gate {gate.kind} addresses a qubit outside the register")
-    mroot, mw = gate_dd(ctx, gate)
-    if mroot is TERMINAL:
-        # The gate is the identity on every qubit it touches.
-        out, ow = state.root[0], 1.0
-    else:
-        try:
-            out, ow = _mv(ctx, mroot, state.root[0], {}, {})
-        except RecursionError as e:
-            # _mv recurses once per level above the gate's lowest touched
-            # qubit.
-            raise CapacityError(
-                f"a {state.num_qubits}-qubit register is too deep for "
-                f"recursive gate application") from e
-    w = state.root[1] * mw * ow
-    # Snap by the state's squared norm, not by the weight: a unit state's
-    # root weight is 1/sqrt(norm2), below EPS from 87 qubits on.
-    if (w.real * w.real + w.imag * w.imag) * out.norm2 <= EPS * EPS:
-        w = 0j
-    return ctx.new_state((out, w), state.num_qubits)
+    with collector_paused():
+        mroot, mw = gate_dd(ctx, gate)
+        if mroot is TERMINAL:
+            # The gate is the identity on every qubit it touches.
+            out, ow = state.root[0], 1.0
+        else:
+            try:
+                out, ow = _mv(ctx, mroot, state.root[0], {}, {})
+            except RecursionError as e:
+                # _mv recurses once per level above the gate's lowest
+                # touched qubit.
+                raise CapacityError(
+                    f"a {state.num_qubits}-qubit register is too deep for "
+                    f"recursive gate application") from e
+        w = state.root[1] * mw * ow
+        # Snap by the state's squared norm, not by the weight: a unit state's
+        # root weight is 1/sqrt(norm2), below EPS from 87 qubits on.
+        if (w.real * w.real + w.imag * w.imag) * out.norm2 <= EPS * EPS:
+            w = 0j
+        return ctx.new_state((out, w), state.num_qubits)
 
 
 def _mv(ctx: Context, m, v, memo: dict, add_memo: dict) -> Edge:

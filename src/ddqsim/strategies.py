@@ -22,20 +22,21 @@ can fall below it.  ``gen_supremacy(3, 4, 8, 32)`` at threshold 500 and
 ``f_round`` 0.99 reports 0.83126 and realizes 0.81887.
 
 Python's cyclic garbage collector is paused while the gate loop runs and
-restored to its prior state afterwards.  The engine creates no reference
-cycles, so reference counting alone frees what the loop drops, and the
-collector would only re-scan the live diagram again and again.
+restored to its prior state afterwards, by the same helper
+(:func:`ddqsim.dd.collector_paused`) that pauses it in each
+:func:`ddqsim.ops.apply`.  The engine creates no reference cycles, so
+reference counting alone frees what the loop drops, and the collector would
+only re-scan the live diagram again and again.
 """
 from __future__ import annotations
 
-import gc
 import math
 import time
 from dataclasses import asdict, dataclass, field
 
 from .approx import approximate_round
 from .circuit import Circuit
-from .dd import Context, StateDD
+from .dd import Context, StateDD, collector_paused
 from .ops import apply
 
 #: Unique-table size that triggers a sweep of its dead entries.  Dead nodes
@@ -194,7 +195,8 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy):
     watermark, :meth:`Context.collect_garbage` sweeps its dead entries, and
     the watermark becomes twice the live count, or ``GC_WATERMARK`` if more.
     Python's cyclic garbage collector is paused for the loop, rounds and
-    :meth:`Context.collect_garbage` included, and switched back on afterwards
+    :meth:`Context.collect_garbage` included, by
+    :func:`ddqsim.dd.collector_paused`, which switches it back on afterwards
     only if it was on before, also when the loop raises.  The engine makes
     no reference cycles (see :mod:`ddqsim.dd`), so reference counting frees
     everything it drops, and the pause only saves the collector's repeated
@@ -211,9 +213,7 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy):
     stats.max_dd_size = count
     watermark = GC_WATERMARK
 
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         for i, gate in enumerate(circuit.ops):
             state = apply(state, gate)
             count = state.node_count()
@@ -234,9 +234,6 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy):
                 ctx.collect_garbage()
                 watermark = max(GC_WATERMARK, 2 * ctx.unique_table_size())
             stats.node_trace.append(count)
-    finally:
-        if was_enabled:
-            gc.enable()
 
     stats.final_dd_size = count
     stats.fidelity_lower_bound = math.prod(

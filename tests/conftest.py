@@ -12,7 +12,7 @@ OpenBLAS runs single-threaded for the whole session.  Acceptance 2 makes
 worker threads spin against any other busy process on a small machine: beside
 one busy loop on two cores the test took 10.6 s with the default threads and
 3.0 s with one.  OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when NumPy
-loads it, so the variable is set here, before ``ddqsim`` imports NumPy;
+loads it, so the variable is set here, before any test module imports NumPy;
 ``tests/test_oracle.py`` checks that it took effect.
 """
 import math

@@ -1,11 +1,13 @@
 """Circuit validation, the QASM subset, and the benchmark generators."""
 import math
+import random
 
 import numpy as np
 import pytest
 
 from ddqsim.circuit import (ANGLE_KINDS, FIXED_KINDS, Circuit, Gate,
-                            QasmParseError, gate_matrix, gen_ghz, gen_qft,
+                            QasmParseError, gate_entries, gate_matrix,
+                            gen_ghz, gen_qft,
                             gen_shor_period, gen_supremacy, parse_qasm,
                             to_qasm)
 from ddqsim.oracle import dense_simulate
@@ -23,6 +25,94 @@ def test_gate_matrices_are_unitary():
     for gate in gates:
         u = gate_matrix(gate)
         assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-12)
+
+
+def _numpy_gate_matrix(gate: Gate) -> np.ndarray:
+    """The dense numpy formulas that once built every gate matrix; kept here
+    only as the reference that :func:`gate_entries` must reproduce."""
+    sq2 = 1.0 / math.sqrt(2.0)
+    a_ = 0.5 + 0.5j
+    fixed = {
+        "H": np.array([[sq2, sq2], [sq2, -sq2]], dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+        "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+        "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
+        "T": np.array([[1, 0], [0, np.exp(0.25j * math.pi)]], dtype=complex),
+        "TDG": np.array([[1, 0], [0, np.exp(-0.25j * math.pi)]], dtype=complex),
+        "SQRTX": np.array([[a_, a_.conjugate()], [a_.conjugate(), a_]],
+                          dtype=complex),
+        "SQRTY": np.array([[a_, -a_], [a_, a_]], dtype=complex),
+        "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
+                          [0, 0, 0, 1]], dtype=complex),
+    }
+    k = gate.kind
+    if k in fixed:
+        return fixed[k]
+    a = gate.angle
+    if k == "RX":
+        c, s = math.cos(a / 2), math.sin(a / 2)
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    if k == "RY":
+        c, s = math.cos(a / 2), math.sin(a / 2)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if k == "RZ":
+        return np.array([[np.exp(-0.5j * a), 0], [0, np.exp(0.5j * a)]],
+                        dtype=complex)
+    if k == "PHASE":
+        return np.array([[1, 0], [0, np.exp(1j * a)]], dtype=complex)
+    dim = 1 << len(gate.targets)
+    m = np.zeros((dim, dim), dtype=complex)
+    for col, row in enumerate(gate.table):
+        m[row, col] = 1.0
+    return m
+
+
+def _reference_gates():
+    """Every fixed kind, each angle kind at 2,000 seeded angles plus edge
+    angles, and seeded permutations on one to four targets."""
+    gates = [Gate(k, (0, 1) if k == "SWAP" else (0,)) for k in FIXED_KINDS]
+    rng = random.Random(1707)
+    edges = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi,
+             4 * math.pi, 1e-300, 5e-324, 1e10, -1e17]
+    for k in ANGLE_KINDS:
+        angles = edges + [rng.uniform(-4 * math.pi, 4 * math.pi)
+                          for _ in range(2000)]
+        gates += [Gate(k, (0,), angle=a) for a in angles]
+    for k in (1, 2, 3, 4):
+        for _ in range(5):
+            table = list(range(1 << k))
+            rng.shuffle(table)
+            gates.append(Gate("PERMUTATION", tuple(range(k)),
+                              table=tuple(table)))
+    return gates
+
+
+def test_gate_entries_match_the_numpy_formulas_bit_for_bit():
+    # repr tells signed zeros and last-bit differences apart; the order is
+    # numpy's nonzero order, row-major.
+    for gate in _reference_gates():
+        u = _numpy_gate_matrix(gate)
+        want = [((int(r), int(c)), complex(u[r, c])) for r, c in zip(*u.nonzero())]
+        assert repr(list(gate_entries(gate).items())) == repr(want), gate
+
+
+def test_gate_matrix_is_a_dense_complex_view_of_the_entries():
+    gates = _reference_gates()
+    for gate in gates[:40] + gates[-20:]:
+        u = gate_matrix(gate)
+        dim = 1 << len(gate.targets)
+        assert u.dtype == np.complex128
+        assert u.shape == (dim, dim)
+        assert np.array_equal(u, _numpy_gate_matrix(gate))
+    u = gate_matrix(Gate("RX", (0,), angle=0.0))
+    assert u.shape == (2, 2) and np.array_equal(u, np.eye(2))
+
+
+def test_gate_entries_reject_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        gate_entries(Gate("Q", (0,)))
 
 
 def test_permutation_matrix_places_columns():

@@ -2,10 +2,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import ddqsim
 from ddqsim.circuit import gen_ghz, to_qasm
 from ddqsim.cli import CSV_FIELDS, STATS_SCHEMA, main
 
@@ -188,3 +193,53 @@ def test_roundtrip_qasm_written_by_package(tmp_path, capsys):
     code, out, _ = run(capsys, str(path), "--verify")
     assert code == 0
     assert "oracle_fidelity=1" in out
+
+
+_NO_NUMPY = """
+import sys
+import warnings
+
+import ddqsim
+import ddqsim.cli
+from ddqsim import (Context, FidelityDrivenConfig, MemoryDrivenConfig,
+                    gen_ghz, gen_qft, gen_shor_period, gen_supremacy,
+                    parse_qasm, simulate_exact, simulate_fidelity_driven,
+                    simulate_memory_driven)
+
+qasm = ("OPENQASM 2.0;\\nqreg q[3];\\nh q[0];\\ncx q[0],q[1];\\n"
+        "rx(pi/3) q[2];\\nry(-0.2) q[1];\\nrz(0.4) q[0];\\n"
+        "cp(pi/8) q[2],q[0];\\nccx q[0],q[1],q[2];\\nswap q[0],q[2];\\n")
+circuits = [parse_qasm(qasm), gen_ghz(6), gen_qft(5), gen_qft(5, inverse=True),
+            gen_supremacy(2, 3, 6, 1), gen_shor_period(15, 7)]
+for circuit in circuits:
+    simulate_exact(circuit)
+    simulate_memory_driven(circuit, MemoryDrivenConfig(4, 0.95))
+    simulate_fidelity_driven(circuit, FidelityDrivenConfig(0.8, 0.95))
+path = sys.argv[1]
+open(path + ".qasm", "w").write(qasm)
+assert ddqsim.cli.main(["--gen", "ghz", "8", "--stats", path + ".json",
+                        "--csv", path + ".csv"]) == 0
+assert ddqsim.cli.main([path + ".qasm", "--mode", "memory",
+                        "--threshold", "3"]) == 0
+assert "numpy" not in sys.modules, "simulation loaded numpy"
+
+# The dense paths load it on demand.
+assert ddqsim.cli.main(["--gen", "qft", "4", "--verify"]) == 0
+assert "numpy" in sys.modules
+state = Context().from_dense([0.6, 0, 0, 0.8])
+assert abs(state.amplitude("11") - 0.8) < 1e-15
+assert len(state.to_dense()) == 4
+print("ok")
+"""
+
+
+def test_simulation_never_loads_numpy(tmp_path):
+    src = str(Path(ddqsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
+    assert "oracle_fidelity=1" in done.stdout

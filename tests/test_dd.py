@@ -429,6 +429,18 @@ def test_dropping_a_deep_chain_does_not_crash():
     assert done.stdout.split() == ["200000"]
 
 
+def test_released_handle_prints_as_released_and_refuses_reads():
+    state = Context().make_basis_state(2, "00")
+    assert repr(state) == "StateDD(num_qubits=2, nodes=2)"
+    state.release()
+    assert repr(state) == "StateDD(num_qubits=2, released)"
+    reads = (state.node_count, state.norm, state.to_dense,
+             lambda: state.amplitude("00"))
+    for read in reads:
+        with pytest.raises(ValueError, match="released"):
+            read()
+
+
 def test_collect_garbage_reclaims_released_states():
     ctx = Context()
     keep = ctx.from_dense(random_state(6, seed=0))

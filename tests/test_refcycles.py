@@ -1,9 +1,10 @@
 """The engine makes no reference cycles, and the drivers pause the collector.
 
 Nodes point only down and no helper closes over itself, so reference
-counting alone frees a dropped diagram, context and memo.  The drivers lean
+counting alone frees a dropped diagram, context and memo.  The engine leans
 on that: ``strategies._run`` switches Python's cyclic garbage collector off
-for the gate loop and back to its prior state afterwards.
+for the gate loop, and ``ops.apply`` for each gate, and both switch it back
+to its prior state afterwards.
 """
 import gc
 import math
@@ -12,9 +13,11 @@ from contextlib import contextmanager
 import pytest
 
 from ddqsim import strategies
-from ddqsim.circuit import gen_ghz, gen_shor_period, gen_supremacy, parse_qasm
+from ddqsim.circuit import (Gate, gen_ghz, gen_shor_period, gen_supremacy,
+                            parse_qasm)
 from ddqsim.dd import CapacityError, Context
-from ddqsim.ops import fidelity
+from ddqsim.ops import apply, fidelity
+from ddqsim.oracle import random_state
 
 
 @contextmanager
@@ -111,3 +114,61 @@ def test_run_restores_collector_after_capacity_error():
     with pytest.raises(CapacityError):
         strategies.simulate_exact(gen_ghz(1200))
     assert gc.isenabled()
+
+
+@contextmanager
+def collector_state(enabled: bool):
+    """Collector switched on or off inside the block, restored after it."""
+    was_enabled = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_direct_apply_runs_no_collection():
+    # H on the top qubit of a dense 14-qubit state sums both halves, which
+    # builds about 16k nodes: with the collector on, that is hundreds of
+    # generation-0 collections.  A collection counts if it starts while the
+    # gate is building nodes, so one that the re-enabled collector runs
+    # right after the gate does not.
+    ctx = Context()
+    state = ctx.from_dense(random_state(14, seed=3))
+    started = ctx._next_uid
+    uids = []
+
+    def watch(phase, info):
+        if phase == "start":
+            uids.append(ctx._next_uid)
+
+    with collector_state(True):
+        gc.callbacks.append(watch)
+        try:
+            out = apply(state, Gate("H", (13,)))
+        finally:
+            gc.callbacks.remove(watch)
+        assert gc.isenabled()
+    ended = ctx._next_uid
+    assert ended - started >= 10_000
+    assert [u for u in uids if started < u < ended] == []
+    assert out.norm() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_apply_restores_collector_state(enabled):
+    ctx = Context()
+    with collector_state(enabled):
+        apply(ctx.make_basis_state(3, "000"), Gate("H", (1,)))
+        assert gc.isenabled() is enabled
+        # _mv recurses once per level, so a 1,200-qubit register raises.
+        deep = ctx.make_basis_state(1200, "0" * 1200)
+        with pytest.raises(CapacityError):
+            apply(deep, Gate("H", (0,)))
+        assert gc.isenabled() is enabled
