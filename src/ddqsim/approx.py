@@ -47,9 +47,10 @@ def node_contributions(state: StateDD) -> dict[VNode, float]:
     masses down and multiplies each by the node's cached ``norm2``.
     """
     contributions: dict[VNode, float] = {}
-    w = state.root[1]
-    prefix = {state.root[0]: w.real * w.real + w.imag * w.imag}
-    for bucket in levels(state.root):
+    root = state._live_root()
+    w = root[1]
+    prefix = {root[0]: w.real * w.real + w.imag * w.imag}
+    for bucket in levels(root):
         for node in bucket:
             mass = prefix[node]
             contributions[node] = mass * node.norm2
@@ -71,23 +72,24 @@ def remove_nodes(state: StateDD, victims) -> RoundOutcome:
     CapacityError if the register is too deep for the recursive rebuild.
     """
     ctx = state.context
+    root = state._live_root()
     victim_ids = {id(v) for v in victims}
-    if id(state.root[0]) in victim_ids:
+    if id(root[0]) in victim_ids:
         raise ValueError("cannot remove the root node")
     try:
-        out, ow = _rebuild(ctx, state.root[0], victim_ids, {})
+        out, ow = _rebuild(ctx, root[0], victim_ids, {})
     except RecursionError as e:
         # _rebuild recurses once per level; it stays recursive because its
         # node creation order fixes uids and the weights new nodes keep.
         raise CapacityError(
             f"a {state.num_qubits}-qubit register is too deep for the "
             f"recursive rebuild") from e
-    root = (out, state.root[1] * ow)
-    kept = squared_norm(root)
+    rebuilt = (out, root[1] * ow)
+    kept = squared_norm(rebuilt)
     if kept == 0.0:
         raise ValueError("removal would annihilate the state")
-    fidelity = kept / squared_norm(state.root)
-    new_state = ctx.new_state((root[0], root[1] / kept ** 0.5),
+    fidelity = kept / squared_norm(root)
+    new_state = ctx.new_state((out, rebuilt[1] / kept ** 0.5),
                               state.num_qubits)
     return RoundOutcome(state=new_state, round_fidelity=fidelity,
                         removed_mass=1.0 - fidelity,
@@ -144,8 +146,8 @@ def approximate_round(state: StateDD, f_round: float) -> RoundOutcome:
     if f_round == 1.0:
         return remove_nodes(state, [])
     budget = 1.0 - f_round
+    root_node = state._live_root()[0]
     contributions = node_contributions(state)
-    root_node = state.root[0]
     candidates = sorted(
         (c for c in contributions.items() if c[0] is not root_node),
         key=lambda c: (c[1], c[0].level, c[0].uid))

@@ -35,14 +35,18 @@ STATS_SCHEMA = {
     "additionalProperties": False,
     "required": ["benchmark", "mode", "num_qubits", "num_gates", "max_dd_size",
                  "final_dd_size", "rounds", "f_round", "fidelity_lower_bound",
-                 "node_trace", "planned_rounds", "warnings",
+                 "node_trace", "trace_after_gate", "planned_rounds", "warnings",
                  "wall_time_seconds", "runtime_seconds", "verify"],
     "properties": {
         "benchmark": {"type": "string"},
         "mode": {"enum": ["exact", "memory", "fidelity"]},
         "num_qubits": {"type": "integer", "minimum": 1},
         "num_gates": {"type": "integer", "minimum": 0},
-        "max_dd_size": {"type": "integer", "minimum": 0},
+        "max_dd_size": {
+            "type": "integer", "minimum": 0,
+            "description": "largest node count of the initial state and of "
+                           "the node_trace entries; a peak inside a window "
+                           "is not seen"},
         "final_dd_size": {"type": "integer", "minimum": 0},
         "rounds": {
             "type": "array",
@@ -63,7 +67,18 @@ STATS_SCHEMA = {
         },
         "f_round": {"type": ["number", "null"]},
         "fidelity_lower_bound": {"type": "number", "minimum": 0, "maximum": 1},
-        "node_trace": {"type": "array", "items": {"type": "integer"}},
+        "node_trace": {
+            "type": "array", "items": {"type": "integer"},
+            "description": "node count at the end of each window of gates "
+                           "applied in one pass, after any round fired "
+                           "there; exact and fidelity modes fuse runs of "
+                           "monomial gates spanning at most four qubits, so "
+                           "a peak inside a window is not seen, and memory "
+                           "mode counts after every gate"},
+        "trace_after_gate": {
+            "type": "array", "items": {"type": "integer", "minimum": 1},
+            "description": "for each node_trace entry, the number of gates "
+                           "done; strictly increasing, ending at num_gates"},
         "planned_rounds": {"type": ["integer", "null"]},
         "warnings": {"type": "array", "items": {"type": "string"}},
         "wall_time_seconds": {"type": "number"},

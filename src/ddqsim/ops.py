@@ -5,28 +5,36 @@ never mentions are skipped entirely (applying it treats them as identity on
 the fly).  Matrix diagrams are built from a sparse ``(row, col) -> weight``
 map over the touched qubits, the gate's
 :func:`~ddqsim.circuit.gate_entries` with controls folded in as diagonal
-blocks, so
-one code path covers plain, controlled and permutation gates.  A block that
-is the identity on every touched qubit below it is the terminal itself, so
-the recursion ends there and the control-0 halves of controlled gates and
-permutations hand the vector sub-diagram back unchanged.  Matrix nodes are
-not hash-consed: each gate's diagram owns its nodes, equal sub-matrices
-within a gate share one node through the build memo, and the finished
-diagram is cached per gate value in ``Context.gate_dds``.  They are
-normalized by the largest magnitude, a positive real, and not by a complex
-weight as vector nodes are: the build memo shares only equal blocks, so a
-phase-canonical rule would share nothing more.
+blocks, so one code path covers plain, controlled and permutation gates.
+A run of gates becomes one matrix diagram over the union of their qubits,
+its columns composed gate after gate (combined-operation simulation, as in
+Zulehner & Wille, "Advanced Simulation of Quantum Computations", IEEE TCAD
+2019), and is applied in one pass over the state.  The drivers in
+:mod:`ddqsim.strategies` fuse only runs of monomial gates (see
+:func:`is_monomial`), whose composed matrix stays one weighted permutation.
+A block that is the identity on every touched qubit below it is the
+terminal itself, so the recursion ends there and the control-0 halves of
+controlled gates and permutations hand the vector sub-diagram back
+unchanged.  Matrix nodes are not hash-consed: each diagram owns its nodes,
+equal sub-matrices within it share one node through the build memo, and the
+finished diagram is cached per gates tuple in ``Context.gate_dds``.  They
+are normalized by the largest magnitude, a positive real, and not by a
+complex weight as vector nodes are: the build memo shares only equal
+blocks, so a phase-canonical rule would share nothing more.
 
 Matrix-vector products and sums are memoized per operation: :func:`apply`
-builds two fresh dicts for each gate, passes them down the recursion and
+builds two fresh dicts for each pass, passes them down the recursion and
 drops them when it returns.  Entries are keyed by the node objects, which is
 sound because nodes are hash-consed and a memo holds every node it names
-alive until the gate is done.  A sum of two edges into the same node is
+alive until the pass is done.  A sum of two edges into the same node is
 that node with the summed weight; it builds nothing, where adding the two
 node by node would walk the whole shared subtree only to find the same
 node.  Other addition memos are keyed on the weight ratio of the operands,
 so ``a + c*b`` is shared across common rescalings.  Results reused across
-gates saved almost nothing, so no compute table outlives its gate.
+passes saved almost nothing, so no compute table outlives its pass.
+
+A released :class:`~ddqsim.dd.StateDD` is refused with ``ValueError``, as
+its own methods refuse it.
 """
 from __future__ import annotations
 
@@ -48,22 +56,38 @@ class MNode:
         return f"<m{self.level}>"
 
 
-def gate_dd(ctx: Context, gate: Gate) -> Edge:
-    """Matrix diagram for ``gate``, cached on the context per gate value.
+def gate_dd(ctx: Context, *gates: Gate) -> Edge:
+    """Matrix diagram of ``gates`` applied in order, cached on the context
+    per gates tuple.
 
-    A sub-block that is the identity on every touched qubit it still spans
-    becomes the edge ``(TERMINAL, 1)``, which :func:`_mv` maps to its vector
-    operand unchanged.  A gate that is the identity on all it touches is
-    that edge as a whole.
+    The diagram spans the sorted union of the gates' qubits.  One gate's
+    sparse matrix is its folded entries (see :func:`_folded_entries`); the
+    matrix of several is the product of theirs, composed column by column
+    (see :func:`_composed_entries`), so a run of monomial gates stays one
+    weighted permutation.  A sub-block that is the identity on every
+    touched qubit it still spans becomes the edge ``(TERMINAL, 1)``, which
+    :func:`_mv` maps to its vector operand unchanged.  Gates that are the
+    identity on all they touch are that edge as a whole.
     """
-    cached = ctx.gate_dds.get(gate)
+    cached = ctx.gate_dds.get(gates)
     if cached is not None:
         return cached
-    touched = sorted(gate.qubits())
-    entries = _folded_entries(gate, touched)
+    touched = sorted({q for gate in gates for q in gate.qubits()})
+    if len(gates) == 1:
+        entries = _folded_entries(gates[0], touched)
+    else:
+        entries = _composed_entries(gates, touched)
     edge = _build_block(ctx, touched, {}, entries, len(touched) - 1)
-    ctx.gate_dds[gate] = edge
+    ctx.gate_dds[gates] = edge
     return edge
+
+
+def is_monomial(gate: Gate) -> bool:
+    """Whether ``gate`` has exactly one nonzero per column, judged from its
+    :func:`~ddqsim.circuit.gate_entries`; controls keep that property."""
+    entries = gate_entries(gate)
+    return len({col for _, col in entries}) == len(entries) == \
+        1 << len(gate.targets)
 
 
 def _build_block(ctx: Context, touched: list[int], memo: dict, sub: dict,
@@ -106,62 +130,107 @@ def _build_block(ctx: Context, touched: list[int], memo: dict, sub: dict,
 
 
 def _folded_entries(gate: Gate, touched: list[int]) -> dict:
-    """Sparse matrix over the touched qubits with controls folded in.
+    """Sparse matrix of ``gate`` over ``touched``, a sorted superset of its
+    qubits, with controls folded in.
 
     Local bit ``p`` stands for qubit ``touched[p]``.  Control bits act as
     diagonal selectors: rows/columns whose control bits are not all ones lie
-    on an identity block.  The all-ones block holds the target unitary's
-    nonzero entries from :func:`ddqsim.circuit.gate_entries`, as they are.
+    on an identity block.  On the all-ones block the target unitary's
+    nonzero entries from :func:`ddqsim.circuit.gate_entries` act, as they
+    are, on the target bits and leave every other bit as it is.
     """
     tpos = [touched.index(q) for q in gate.targets]
     cmask = 0
     for q in gate.controls:
         cmask |= 1 << touched.index(q)
+    tmask = 0
+    for p in tpos:
+        tmask |= 1 << p
+    by_col: dict = {}
+    for (tr, tc), w in gate_entries(gate).items():
+        by_col.setdefault(tc, []).append((tr, w))
 
     entries: dict = {}
-    # Identity on every assignment whose control bits are not all ones.
-    for bits in range(1 << len(touched)):
-        if (bits & cmask) != cmask:
-            entries[(bits, bits)] = 1.0 + 0j
-    # The target unitary on the all-ones control block.
-    for (tr, tc), w in gate_entries(gate).items():
-        row = cmask
-        col = cmask
+    for col in range(1 << len(touched)):
+        if (col & cmask) != cmask:
+            # Identity where the control bits are not all ones.
+            entries[(col, col)] = 1.0 + 0j
+            continue
+        tc = 0
         for b, p in enumerate(tpos):
-            row |= ((tr >> b) & 1) << p
-            col |= ((tc >> b) & 1) << p
-        entries[(row, col)] = w
+            tc |= ((col >> p) & 1) << b
+        rest = col & ~tmask
+        for tr, w in by_col.get(tc, ()):
+            row = rest
+            for b, p in enumerate(tpos):
+                row |= ((tr >> b) & 1) << p
+            entries[(row, col)] = w
     return entries
 
 
-def apply(state: StateDD, gate: Gate) -> StateDD:
-    """Apply ``gate`` and return the new state (the input is left intact).
+def _composed_entries(gates: tuple, touched: list[int]) -> dict:
+    """Sparse matrix of ``gates`` applied in order, over ``touched``.
 
-    Python's cyclic garbage collector is paused while the gate runs (see
-    :func:`ddqsim.dd.collector_paused`): a gate builds many nodes, and each
-    collection would re-scan the whole live diagram.
+    Each column is a map ``row -> weight`` that every gate's folded entries
+    carry forward, one gate after the other; for monomial gates it holds
+    one entry throughout, whose weight is the product of one weight per
+    gate.  Entries that cancel to exactly zero are dropped.
     """
+    cols = {col: {col: 1.0 + 0j} for col in range(1 << len(touched))}
+    for gate in gates:
+        step: dict = {}
+        for (row, col), w in _folded_entries(gate, touched).items():
+            step.setdefault(col, []).append((row, w))
+        for col, rows in cols.items():
+            out: dict = {}
+            for mid, w in rows.items():
+                for row, gw in step[mid]:
+                    if row in out:
+                        out[row] += gw * w
+                    else:
+                        out[row] = gw * w
+            cols[col] = {row: w for row, w in out.items() if w != 0}
+    return {(row, col): w for col, rows in cols.items()
+            for row, w in rows.items()}
+
+
+def apply(state: StateDD, *gates: Gate) -> StateDD:
+    """Apply ``gates`` in order and return the new state (the input is left
+    intact).
+
+    The gates act as one matrix diagram from :func:`gate_dd`, in one pass
+    over the state.  One gate takes the same path, bit for bit, as it
+    always did; several give the same state up to rounding, as their
+    weights multiply in another order.  Python's cyclic garbage collector
+    is paused while the gates run (see :func:`ddqsim.dd.collector_paused`):
+    a pass builds many nodes, and each collection would re-scan the whole
+    live diagram.
+    """
+    if not gates:
+        raise ValueError("apply needs at least one gate")
     ctx = state.context
-    qs = gate.qubits()
-    if len(set(qs)) != len(qs):
-        raise ValueError(f"gate {gate.kind} reuses a qubit: {qs}")
-    if any(q < 0 or q >= state.num_qubits for q in qs):
-        raise ValueError(f"gate {gate.kind} addresses a qubit outside the register")
+    for gate in gates:
+        qs = gate.qubits()
+        if len(set(qs)) != len(qs):
+            raise ValueError(f"gate {gate.kind} reuses a qubit: {qs}")
+        if any(q < 0 or q >= state.num_qubits for q in qs):
+            raise ValueError(
+                f"gate {gate.kind} addresses a qubit outside the register")
+    root, rw = state._live_root()
     with collector_paused():
-        mroot, mw = gate_dd(ctx, gate)
+        mroot, mw = gate_dd(ctx, *gates)
         if mroot is TERMINAL:
-            # The gate is the identity on every qubit it touches.
-            out, ow = state.root[0], 1.0
+            # The gates are the identity on every qubit they touch.
+            out, ow = root, 1.0
         else:
             try:
-                out, ow = _mv(ctx, mroot, state.root[0], {}, {})
+                out, ow = _mv(ctx, mroot, root, {}, {})
             except RecursionError as e:
-                # _mv recurses once per level above the gate's lowest
-                # touched qubit.
+                # _mv recurses once per level above the lowest touched qubit.
                 raise CapacityError(
                     f"a {state.num_qubits}-qubit register is too deep for "
                     f"recursive gate application") from e
-        w = state.root[1] * mw * ow
+        w = rw * mw * ow
         # Snap by the state's squared norm, not by the weight: a unit state's
         # root weight is 1/sqrt(norm2), below EPS from 87 qubits on.
         if (w.real * w.real + w.imag * w.imag) * out.norm2 <= EPS * EPS:
@@ -312,12 +381,12 @@ def inner_product(a: StateDD, b: StateDD) -> complex:
     """The Hermitian inner product <a|b> (a's amplitudes conjugated)."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("states must have the same number of qubits")
-    wa = a.root[1]
-    wb = b.root[1]
+    an, wa = a._live_root()
+    bn, wb = b._live_root()
     if wa == 0 or wb == 0:
         return 0j
     try:
-        ip = _ip(a.root[0], b.root[0], {})
+        ip = _ip(an, bn, {})
     except RecursionError as e:
         # _ip recurses once per level, like _mv.
         raise CapacityError(

@@ -65,6 +65,26 @@ def test_stats_json_matches_schema(tmp_path, capsys):
     assert payload["fidelity_lower_bound"] == pytest.approx(bound, abs=1e-12)
 
 
+def test_stats_json_trace_after_gate(tmp_path, capsys):
+    # Exact mode fuses GHZ 8's CX ladder into windows; memory mode counts
+    # after every gate.
+    for mode, extra in (("exact", []), ("memory", ["--threshold", "1000"])):
+        stats_path = tmp_path / f"{mode}.json"
+        code, _, _ = run(capsys, "--gen", "ghz", "8", "--mode", mode, *extra,
+                         "--stats", str(stats_path))
+        assert code == 0
+        payload = json.loads(stats_path.read_text())
+        jsonschema.validate(payload, STATS_SCHEMA)
+        after = payload["trace_after_gate"]
+        assert len(after) == len(payload["node_trace"])
+        assert after[-1] == payload["num_gates"] == 8
+        assert payload["final_dd_size"] == 15
+        if mode == "exact":
+            assert after == [1, 4, 7, 8]
+        else:
+            assert after == list(range(1, 9))
+
+
 def test_stats_json_exact_mode_nulls(tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     code, _, _ = run(capsys, "--gen", "qft", "3", "--stats", str(stats_path))

@@ -82,21 +82,16 @@ def test_exact_matches_oracle_and_reports_stats():
     assert stats.rounds == []
     assert stats.fidelity_lower_bound == 1.0
     assert stats.num_gates == 40
-    assert len(stats.node_trace) == 40
+    # One trace entry per window of fused monomial gates.
+    assert stats.trace_after_gate == [1, 2, 3, 7, 10, 11, 12, 13, 19, 20, 21,
+                                      22, 23, 26, 27, 32, 36, 37, 40]
+    assert len(stats.node_trace) == 19
     assert stats.max_dd_size == max(stats.node_trace)
     assert stats.final_dd_size == stats.node_trace[-1]
     assert stats.wall_time_seconds > 0
 
 
 def test_long_parametric_circuit_stays_bounded(monkeypatch):
-    # 40,004 gates on 4 qubits, nearly every one a distinct gate DD: the
-    # watermark must fire collections that drop the dead nodes and gate DDs,
-    # though the live state never exceeds 4 nodes.
-    rng = random.Random(1)
-    ops = [Gate("H", (q,)) for q in range(4)]
-    ops += [Gate("RZ", (rng.randrange(4),), angle=rng.uniform(-math.pi, math.pi))
-            for _ in range(40_000)]
-    circ = Circuit(4, ops, name="rz_chain")
     collections = []
     collect = Context.collect_garbage
 
@@ -105,12 +100,37 @@ def test_long_parametric_circuit_stays_bounded(monkeypatch):
         return collections[-1]
 
     monkeypatch.setattr(Context, "collect_garbage", counted)
+
+    # 40,000 RX gates from |0000>, each a distinct dense gate DD applied on
+    # its own: the watermark must fire collections that drop the dead nodes
+    # and gate DDs, though the live state never exceeds 4 nodes.
+    rng = random.Random(1)
+    ops = [Gate("RX", (rng.randrange(4),), angle=rng.uniform(-math.pi, math.pi))
+           for _ in range(40_000)]
     ctx = Context()
-    _, stats = simulate_exact(circ, ctx)
-    assert stats.final_dd_size == 4
+    _, stats = simulate_exact(Circuit(4, ops, name="rx_chain"), ctx)
+    assert len(stats.node_trace) == len(ops)
+    assert stats.max_dd_size == stats.final_dd_size == 4
     assert collections
     assert ctx.unique_table_size() <= strategies.GC_WATERMARK
     assert len(ctx.gate_dds) < len(ops)
+
+    # The same chain with RZ after an H on each qubit: RZ is monomial, so the
+    # 40,000 phases fuse into one window applied in one pass, and no sweep
+    # fires.  The 16 composed weights carry independent rounding, so the
+    # product state splits at weight-cell edges into 8 nodes instead of 4.
+    collections.clear()
+    rng = random.Random(1)
+    ops = [Gate("H", (q,)) for q in range(4)]
+    ops += [Gate("RZ", (rng.randrange(4),), angle=rng.uniform(-math.pi, math.pi))
+            for _ in range(40_000)]
+    ctx = Context()
+    state, stats = simulate_exact(Circuit(4, ops, name="rz_chain"), ctx)
+    assert stats.trace_after_gate == [1, 2, 3, 4, len(ops)]
+    assert stats.final_dd_size == 8
+    assert collections == []
+    assert len(ctx.gate_dds) == 5
+    assert np.abs(state.to_dense() - dense_simulate(Circuit(4, ops))).max() < 1e-11
 
 
 def test_qft_round_trip_keeps_product_states_small():
