@@ -146,8 +146,8 @@ def approximate_round(state: StateDD, f_round: float) -> RoundOutcome:
     if f_round == 1.0:
         return remove_nodes(state, [])
     budget = 1.0 - f_round
-    root_node = state._live_root()[0]
     contributions = node_contributions(state)
+    root_node = state._live_root()[0]
     candidates = sorted(
         (c for c in contributions.items() if c[0] is not root_node),
         key=lambda c: (c[1], c[0].level, c[0].uid))
