@@ -5,10 +5,7 @@ name, a few readable sizes, and a SHA-256 over everything observable about
 the run.  A refactoring that should not change any result must print the
 same hash for every record before and after.  Each record hashes
 
-* ``SimStats.as_dict()`` without ``wall_time_seconds``, and without
-  ``trace_after_gate`` where it is ``1..num_gates``: a trace entry after
-  every gate is what ``node_trace`` meant before the field existed, so
-  per-gate runs hash the same against checkouts that lack it;
+* ``SimStats.as_dict()`` without ``wall_time_seconds``;
 * a SHA-256 of the final ``to_dense()`` vector (for GHZ, too wide to expand,
   its two nonzero amplitudes);
 * the return value of every ``collect_garbage()`` call, the number of dead
@@ -92,8 +89,6 @@ def emit(name: str, state, ctx: Context, reclaimed: list[int], stats=None) -> No
     if stats is not None:
         d = stats.as_dict()
         del d["wall_time_seconds"]
-        if d.get("trace_after_gate") == list(range(1, stats.num_gates + 1)):
-            del d["trace_after_gate"]
         record["stats"] = d
         sizes = (f"max={stats.max_dd_size} final={stats.final_dd_size} "
                  f"rounds={len(stats.rounds)} "

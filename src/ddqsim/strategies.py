@@ -23,15 +23,15 @@ can fall below it.  ``gen_supremacy(3, 4, 8, 32)`` at threshold 500 and
 
 The gate list runs in windows.  A run of consecutive monomial gates (one
 nonzero per column; see :func:`ddqsim.ops.is_monomial`) that spans at most
-``FUSION_SPAN`` qubits is applied as one gate: one matrix diagram, one
-pass over the state and one node count.  A window ends before any other
-gate, which runs alone, and after every position where a round may fire:
-after every gate in memory-driven runs, which therefore never fuse, and at
-the planned or marker positions in fidelity-driven runs, so the round
-fidelities keep their meaning.  ``node_trace`` and ``max_dd_size`` describe
-window ends, and a peak inside a window is not seen.  Fused phases multiply
-in another order than gate by gate, so exact and fidelity-driven results
-move by rounding dust.
+``FUSION_SPAN`` qubits, up to ``FUSION_GATES`` of them, is applied as one
+gate: one matrix diagram, one pass over the state and one node count.  A
+window ends before any other gate, which runs alone, and after every
+position where a round may fire: after every gate in memory-driven runs,
+which therefore never fuse, and at the planned or marker positions in
+fidelity-driven runs, so the round fidelities keep their meaning.
+``node_trace`` and ``max_dd_size`` describe window ends, and a peak inside
+a window is not seen.  Fused phases multiply in another order than gate by
+gate, so exact and fidelity-driven results move by rounding dust.
 
 Python's cyclic garbage collector is paused while the gate loop runs and
 restored to its prior state afterwards, by the same helper
@@ -65,6 +65,19 @@ GC_WATERMARK = 1 << 12
 #: QFT round trip, whose windows are short and mostly distinct, took
 #: 0.024-0.027, 0.026-0.028, 0.036, 0.064 and 0.17.
 FUSION_SPAN = 4
+
+#: Most gates a window of fused monomial gates may hold.  Each column of a
+#: window's matrix multiplies one weight per gate on its own, so columns
+#: whose ratios are equal in exact arithmetic drift apart by rounding that
+#: grows with the window, and a product state splits where they straddle a
+#: weight cell.  Over 40 seeded chains of an H on each of 4 qubits then
+#: 4,000 RZ, the final state split on 10 without a limit and on 0-2 with 4
+#: to 128; 3 % of window ends split transiently at 32.  A shorter window
+#: costs passes: 2,000 RZ on the bottom 4 qubits of GHZ 200 took 1.6-2.1
+#: CPU s unfused, 0.39-0.57 at 8, 0.24-0.30 at 16, 0.16-0.17 at 32,
+#: 0.13-0.14 at 64 and 0.10-0.11 without a limit (2-vCPU Xeon VM).  No
+#: window of the benchmark's circuits holds more than four gates.
+FUSION_GATES = 32
 
 
 @dataclass
@@ -224,16 +237,22 @@ def _windows(gates, stops):
 
     A window is a run of consecutive monomial gates (see
     :func:`ddqsim.ops.is_monomial`) that spans at most ``FUSION_SPAN``
-    qubits; any other gate, and a monomial gate wider than the span, is a
-    window of its own.  A window also ends after every gate count in
-    ``stops``.
+    qubits and holds at most ``FUSION_GATES`` gates; any other gate, and a
+    monomial gate wider than the span, is a window of its own.  A window
+    also ends after every gate count in ``stops``, and a gate that would
+    open a window ending there is not classified at all.
     """
     window: list = []
     span: set = set()
     for done, gate in enumerate(gates, 1):
+        if not window and done in stops:
+            # The gate is a window of its own whatever its kind.
+            yield [gate]
+            continue
         qubits = set(gate.qubits())
         fusable = is_monomial(gate)
-        if window and (not fusable or len(span | qubits) > FUSION_SPAN):
+        if window and (not fusable or len(window) == FUSION_GATES
+                       or len(span | qubits) > FUSION_SPAN):
             yield window
             window, span = [], set()
         window.append(gate)

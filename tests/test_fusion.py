@@ -132,6 +132,23 @@ def test_windows_end_at_dense_gates_wide_spans_and_stops():
     assert windows(cx, stops=range(1, 7)) == [1] * 6
 
 
+def test_windows_hold_at_most_fusion_gates():
+    run = [Gate("T", (q % 3,)) for q in range(2 * strategies.FUSION_GATES + 5)]
+    assert windows(run) == [strategies.FUSION_GATES] * 2 + [5]
+
+
+def test_windows_skip_classifying_gates_that_end_at_a_stop(monkeypatch):
+    # Memory mode stops after every gate, so no gate is classified there.
+    def refuse(gate):
+        raise AssertionError(f"{gate.kind} was classified")
+
+    monkeypatch.setattr(strategies, "is_monomial", refuse)
+    cx = [Gate("X", (q - 1,), controls=(q,)) for q in range(6, 0, -1)]
+    assert windows(cx, stops=range(1, 7)) == [1] * 6
+    _, stats = simulate_memory_driven(gen_ghz(6), MemoryDrivenConfig(1000, 0.99))
+    assert stats.trace_after_gate == [1, 2, 3, 4, 5, 6]
+
+
 def test_wide_permutation_runs_alone():
     table = list(range(1 << 7))
     random.Random(7).shuffle(table)

@@ -115,10 +115,10 @@ def test_long_parametric_circuit_stays_bounded(monkeypatch):
     assert ctx.unique_table_size() <= strategies.GC_WATERMARK
     assert len(ctx.gate_dds) < len(ops)
 
-    # The same chain with RZ after an H on each qubit: RZ is monomial, so the
-    # 40,000 phases fuse into one window applied in one pass, and no sweep
-    # fires.  The 16 composed weights carry independent rounding, so the
-    # product state splits at weight-cell edges into 8 nodes instead of 4.
+    # The same chain with RZ after an H on each qubit: RZ is monomial, so
+    # the 40,000 phases fuse into windows of FUSION_GATES gates, each
+    # applied in one pass, and the product state ends at 4 nodes.  One
+    # sweep fires on the 1,254 windows' nodes and gate DDs.
     collections.clear()
     rng = random.Random(1)
     ops = [Gate("H", (q,)) for q in range(4)]
@@ -126,10 +126,10 @@ def test_long_parametric_circuit_stays_bounded(monkeypatch):
             for _ in range(40_000)]
     ctx = Context()
     state, stats = simulate_exact(Circuit(4, ops, name="rz_chain"), ctx)
-    assert stats.trace_after_gate == [1, 2, 3, 4, len(ops)]
-    assert stats.final_dd_size == 8
-    assert collections == []
-    assert len(ctx.gate_dds) == 5
+    assert strategies.FUSION_GATES == 32
+    assert stats.trace_after_gate == [1, 2, 3, 4] + list(range(36, len(ops) + 1, 32))
+    assert stats.final_dd_size == 4
+    assert collections == [4093]
     assert np.abs(state.to_dense() - dense_simulate(Circuit(4, ops))).max() < 1e-11
 
 
