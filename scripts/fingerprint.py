@@ -18,6 +18,11 @@ Each line also prints ``created``, the number of vector nodes the run built
 (``Context._next_uid - 1``), outside the hash: it measures kernel work, so
 two checkouts that agree on every result can still differ there.
 
+Before printing a record, the script runs ``Context.check_invariants()`` on
+the record's context, which raises ``AssertionError`` if the unique table
+or any live node is unsound.  The check prints nothing and feeds no hash,
+so the output still diffs cleanly against checkouts without it.
+
 Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 ``shor_fidelity`` benchmark workload; exact ``gen_supremacy(3, 4, 24, s)``
 for s = 11 and 4243 (70 and 68 sweeps); the 13-qubit QFT round trip; GHZ
@@ -78,6 +83,7 @@ def dense_digest(state) -> str:
 
 
 def emit(name: str, state, ctx: Context, reclaimed: list[int], stats=None) -> None:
+    ctx.check_invariants()
     record = {
         "stats": None,
         "dense": dense_digest(state),

@@ -54,10 +54,17 @@ def node_contributions(state: StateDD) -> dict[VNode, float]:
         for node in bucket:
             mass = prefix[node]
             contributions[node] = mass * node.norm2
-            for child, cw in (node.low, node.high):
-                if cw != 0 and child is not TERMINAL:
-                    prefix[child] = prefix.get(child, 0.0) + \
-                        mass * (cw.real * cw.real + cw.imag * cw.imag)
+            # A zero edge points at the terminal (see ddqsim.dd).
+            child = node.low_node
+            if child is not TERMINAL:
+                cw = node.low_weight
+                prefix[child] = prefix.get(child, 0.0) + \
+                    mass * (cw.real * cw.real + cw.imag * cw.imag)
+            child = node.high_node
+            if child is not TERMINAL:
+                cw = node.high_weight
+                prefix[child] = prefix.get(child, 0.0) + \
+                    mass * (cw.real * cw.real + cw.imag * cw.imag)
     return contributions
 
 
@@ -108,21 +115,27 @@ def _rebuild(ctx: Context, node, victim_ids: set[int],
         return (TERMINAL, 0j)
     got = memo.get(id(node))
     if got is None:
-        # Subtrees without victims come back as themselves; such edges
-        # are reused directly so untouched regions cost one check each.
-        nl = node.low
-        if nl[1] == 0:
-            low = nl
-        else:
-            sub, sw = _rebuild(ctx, nl[0], victim_ids, memo)
-            low = nl if (sub is nl[0] and sw == 1.0) else (sub, nl[1] * sw)
-        nh = node.high
-        if nh[1] == 0:
-            high = nh
-        else:
-            sub, sw = _rebuild(ctx, nh[0], victim_ids, memo)
-            high = nh if (sub is nh[0] and sw == 1.0) else (sub, nh[1] * sw)
-        if low is nl and high is nh:
+        # Subtrees without victims come back as themselves; a node whose
+        # children both do is reused as it is, so untouched regions cost one
+        # check each.
+        unchanged = True
+        t = node.low_node
+        w = node.low_weight
+        low = (t, w)
+        if w != 0:
+            sub, sw = _rebuild(ctx, t, victim_ids, memo)
+            if sub is not t or sw != 1.0:
+                low = (sub, w * sw)
+                unchanged = False
+        t = node.high_node
+        w = node.high_weight
+        high = (t, w)
+        if w != 0:
+            sub, sw = _rebuild(ctx, t, victim_ids, memo)
+            if sub is not t or sw != 1.0:
+                high = (sub, w * sw)
+                unchanged = False
+        if unchanged:
             got = (node, 1.0 + 0j)
         else:
             got = ctx.make_vnode(node.level, low, high)

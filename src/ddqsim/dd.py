@@ -8,9 +8,15 @@ root-to-terminal path; a zero-weight edge is a stub that short-circuits the
 whole subtree to zero.  Structurally identical nodes are stored once per
 :class:`Context` (hash-consing), so equal sub-vectors share memory.
 
-An edge is a plain ``(target, weight)`` tuple; this module sits on every hot
-path, so edges stay raw tuples rather than a class.  ``ZERO`` is the unique
-zero stub ``(TERMINAL, 0j)``.
+A node holds its two edges in its own slots, a target and a weight each
+(see :class:`VNode`), so a node is one object to allocate, to free and for
+the cyclic collector to track.  ``low`` and ``high`` are read-only views
+that pair a slot's target and weight into a tuple, for callers outside the
+kernels.  Edges passed between functions, the one :meth:`Context.make_vnode`
+returns included, stay plain ``(target, weight)`` tuples; this module sits
+on every hot path, so they are raw tuples rather than a class.  ``ZERO`` is
+the unique zero stub ``(TERMINAL, 0j)``, and a node stores a zero edge as
+the target ``TERMINAL`` with weight ``0j``.
 
 Conventions pinned here and relied on by every other module:
 
@@ -30,8 +36,8 @@ Conventions pinned here and relied on by every other module:
   node is made from its stored weights and its children's ``norm2``, so a
   state's norm is a lookup, not a walk.
 * Descent: every nonzero edge of a node leads exactly one level down (a
-  level-0 node's to the terminal) and every zero edge is ``ZERO``, so a node
-  is reached only at its own level.  :meth:`StateDD.node_count` relies on
+  level-0 node's to the terminal) and every zero edge is the zero stub, so a
+  node is reached only at its own level.  :meth:`StateDD.node_count` relies on
   that, and :meth:`Context.check_invariants` checks it.
 * Weights: a node is stored under the cells of its outgoing weights on a
   grid of cell size ``EPS`` per component (see :func:`_node_key`), so
@@ -160,17 +166,43 @@ ONE = (TERMINAL, 1.0 + 0j)
 
 class VNode:
     """Vector-diagram node: one qubit split into low/high sub-vectors, and
-    the squared norm ``norm2`` of its sub-vector (see Conventions)."""
+    the squared norm ``norm2`` of its sub-vector (see Conventions).
 
-    __slots__ = ("level", "low", "high", "uid", "norm2", "__weakref__")
+    The two edges live in the node's own slots, a target and a weight each
+    (``low_node``, ``low_weight``, ``high_node``, ``high_weight``), so a node
+    is a single object; a zero edge is the target ``TERMINAL`` with weight
+    ``0j``.  ``low`` and ``high`` are read-only views that pair a slot's
+    target and weight into an edge tuple (``ZERO`` for a zero edge); the
+    kernels read the slots instead.  A live node costs about 415 bytes with
+    its unique-table entry, its weakref and its weights (tracemalloc over the
+    53,248-node final state of fidelity-driven Shor 35 with markers, CPython
+    3.11, 64-bit).
+    """
 
-    def __init__(self, level: int, low: Edge, high: Edge, uid: int,
-                 norm2: float):
+    __slots__ = ("level", "low_node", "low_weight", "high_node", "high_weight",
+                 "uid", "norm2", "__weakref__")
+
+    def __init__(self, level: int, low_node, low_weight: complex, high_node,
+                 high_weight: complex, uid: int, norm2: float):
         self.level = level
-        self.low = low
-        self.high = high
+        self.low_node = low_node
+        self.low_weight = low_weight
+        self.high_node = high_node
+        self.high_weight = high_weight
         self.uid = uid
         self.norm2 = norm2
+
+    @property
+    def low(self) -> Edge:
+        """The low edge as a ``(target, weight)`` tuple."""
+        w = self.low_weight
+        return ZERO if w == 0 else (self.low_node, w)
+
+    @property
+    def high(self) -> Edge:
+        """The high edge as a ``(target, weight)`` tuple."""
+        w = self.high_weight
+        return ZERO if w == 0 else (self.high_node, w)
 
     def __repr__(self) -> str:
         return f"<q{self.level} #{self.uid}>"
@@ -182,9 +214,8 @@ def _node_key(node: VNode) -> tuple:
 
     :meth:`Context.make_vnode` computes the same key inline.
     """
-    nl = node.low
-    nh = node.high
-    return (node.level, nl[0].uid, _cell(nl[1]), nh[0].uid, _cell(nh[1]))
+    return (node.level, node.low_node.uid, _cell(node.low_weight),
+            node.high_node.uid, _cell(node.high_weight))
 
 
 class BoundedCache:
@@ -302,12 +333,12 @@ class Context:
             if node is None:
                 hn = high[0]
                 if key[2] == 0:
-                    nl = ZERO
-                    norm2 = hn.norm2
+                    node = VNode(level, TERMINAL, 0j, hn, 1.0 + 0j,
+                                 self._next_uid, hn.norm2)
                 else:
-                    nl = (low[0], w)
-                    norm2 = hn.norm2 + (re * re + im * im) * low[0].norm2
-                node = VNode(level, nl, (hn, 1.0 + 0j), self._next_uid, norm2)
+                    ln = low[0]
+                    node = VNode(level, ln, w, hn, 1.0 + 0j, self._next_uid,
+                                 hn.norm2 + (re * re + im * im) * ln.norm2)
                 self._next_uid += 1
                 self._vtable[key] = weakref.ref(node)
             return (node, wh)
@@ -326,12 +357,12 @@ class Context:
         if node is None:
             ln = low[0]
             if key[4] == 0:
-                nh = ZERO
-                norm2 = ln.norm2
+                node = VNode(level, ln, 1.0 + 0j, TERMINAL, 0j,
+                             self._next_uid, ln.norm2)
             else:
-                nh = (high[0], w)
-                norm2 = ln.norm2 + (re * re + im * im) * high[0].norm2
-            node = VNode(level, (ln, 1.0 + 0j), nh, self._next_uid, norm2)
+                hn = high[0]
+                node = VNode(level, ln, 1.0 + 0j, hn, w, self._next_uid,
+                             ln.norm2 + (re * re + im * im) * hn.norm2)
             self._next_uid += 1
             self._vtable[key] = weakref.ref(node)
         return (node, wl)
@@ -380,25 +411,27 @@ class Context:
             node = ref()
             if node is None:
                 continue
-            nl = node.low
-            nh = node.high
-            if (key[0], key[1], key[3]) != (node.level, nl[0].uid, nh[0].uid):
+            ln = node.low_node
+            lw = node.low_weight
+            hn = node.high_node
+            hw = node.high_weight
+            if (key[0], key[1], key[3]) != (node.level, ln.uid, hn.uid):
                 raise AssertionError(f"unique-table key {key} does not match {node}")
-            if (key[2], key[4]) != (_cell(nl[1]), _cell(nh[1])):
+            if (key[2], key[4]) != (_cell(lw), _cell(hw)):
                 raise AssertionError(
-                    f"{node} stores a non-canonical weight: {nl[1]!r} and "
-                    f"{nh[1]!r} do not lie in the cells of key {key}")
-            chosen, other = (nl[1], nh[1]) if nl[1] == 1 else (nh[1], nl[1])
+                    f"{node} stores a non-canonical weight: {lw!r} and "
+                    f"{hw!r} do not lie in the cells of key {key}")
+            chosen, other = (lw, hw) if lw == 1 else (hw, lw)
             if chosen != 1:
                 raise AssertionError(
                     f"{node} is not normalized: neither weight is 1 in "
-                    f"magnitude and phase ({nl[1]!r}, {nh[1]!r})")
+                    f"magnitude and phase ({lw!r}, {hw!r})")
             if abs(other) > 1.0 + 2 * EPS:
                 raise AssertionError(
                     f"{node} is not normalized: its other weight {other!r} "
                     f"exceeds magnitude 1 + EPS")
             norm2 = 0.0
-            for target, w in (nl, nh):
+            for target, w in ((ln, lw), (hn, hw)):
                 if target.level != (node.level - 1 if w != 0 else -1):
                     raise AssertionError(
                         f"{node} has an edge to {target} that neither leads "
@@ -506,7 +539,12 @@ class StateDD:
             return 0j
         path = []
         for ch in bits:
-            node, w = node.low if ch == "0" else node.high
+            if ch == "0":
+                w = node.low_weight
+                node = node.low_node
+            else:
+                w = node.high_weight
+                node = node.high_node
             if w == 0:
                 return 0j
             path.append(w)
@@ -546,8 +584,8 @@ class StateDD:
             below = set()
             add = below.add
             for n in level:
-                add(n.low[0])
-                add(n.high[0])
+                add(n.low_node)
+                add(n.high_node)
             below.discard(TERMINAL)
             level = below
         return count
@@ -580,7 +618,8 @@ def _expand(node, memo: dict[int, np.ndarray]) -> np.ndarray:
     if got is None:
         half = 1 << node.level
         parts = []
-        for target, w in (node.low, node.high):
+        for target, w in ((node.low_node, node.low_weight),
+                          (node.high_node, node.high_weight)):
             if w == 0:
                 parts.append(np.zeros(half, dtype=complex))
             else:
@@ -628,11 +667,12 @@ def levels(root: Edge) -> list[list[VNode]]:
             continue
         seen.add(node)
         buckets[top - node.level].append(node)
-        child, cw = node.low
-        if cw != 0 and child is not TERMINAL:
+        # A zero edge points at the terminal (see Conventions).
+        child = node.low_node
+        if child is not TERMINAL:
             stack.append(child)
-        child, cw = node.high
-        if cw != 0 and child is not TERMINAL:
+        child = node.high_node
+        if child is not TERMINAL:
             stack.append(child)
     return buckets
 

@@ -106,14 +106,14 @@ def _build_block(ctx: Context, touched: list[int], memo: dict, sub: dict,
     got = memo.get(key)
     if got is not None:
         return got
-    mask = 1 << p
-    quads = []
-    for r in (0, 1):
-        for c in (0, 1):
-            part = {(row & ~mask, col & ~mask): w
-                    for (row, col), w in sub.items()
-                    if (row & mask) == r * mask and (col & mask) == c * mask}
-            quads.append(_build_block(ctx, touched, memo, part, p - 1))
+    # Split the block into its quadrants, ordered (row bit, column bit), in
+    # one pass; an empty quadrant is the zero stub without a call.
+    rest = (1 << p) - 1
+    parts: tuple = ({}, {}, {}, {})
+    for (row, col), w in sub.items():
+        parts[(row >> p << 1 | col >> p) & 3][(row & rest, col & rest)] = w
+    quads = [_build_block(ctx, touched, memo, part, p - 1) if part else ZERO
+             for part in parts]
     # Divide by the largest magnitude, which becomes the incoming weight
     # (see the module docstring for why not by a complex weight).
     m = max(abs(w) for _, w in quads)
@@ -171,27 +171,33 @@ def _folded_entries(gate: Gate, touched: list[int]) -> dict:
 def _composed_entries(gates: tuple, touched: list[int]) -> dict:
     """Sparse matrix of ``gates`` applied in order, over ``touched``.
 
-    Each column is a map ``row -> weight`` that every gate's folded entries
-    carry forward, one gate after the other; for monomial gates it holds
-    one entry throughout, whose weight is the product of one weight per
-    gate.  Entries that cancel to exactly zero are dropped.
+    Each column is a flat list of ``(row, weight)`` pairs that every gate's
+    folded entries carry forward, one gate after the other; for monomial
+    gates it holds one pair throughout, whose weight is the product of one
+    weight per gate.  Products that land on one row are summed in the order
+    they arise, which only a gate with two entries in one row can cause, and
+    entries that cancel to exactly zero are dropped.
     """
-    cols = {col: {col: 1.0 + 0j} for col in range(1 << len(touched))}
+    size = 1 << len(touched)
+    cols = [[(col, 1.0 + 0j)] for col in range(size)]
     for gate in gates:
-        step: dict = {}
-        for (row, col), w in _folded_entries(gate, touched).items():
-            step.setdefault(col, []).append((row, w))
-        for col, rows in cols.items():
-            out: dict = {}
-            for mid, w in rows.items():
-                for row, gw in step[mid]:
-                    if row in out:
-                        out[row] += gw * w
+        folded = _folded_entries(gate, touched)
+        step: list = [[] for _ in range(size)]
+        for (row, col), w in folded.items():
+            step[col].append((row, w))
+        merge = len({row for row, _ in folded}) != len(folded)
+        for col, rows in enumerate(cols):
+            out = [(row, gw * w) for mid, w in rows for row, gw in step[mid]]
+            if merge:
+                sums: dict = {}
+                for row, w in out:
+                    if row in sums:
+                        sums[row] += w
                     else:
-                        out[row] = gw * w
-            cols[col] = {row: w for row, w in out.items() if w != 0}
-    return {(row, col): w for col, rows in cols.items()
-            for row, w in rows.items()}
+                        sums[row] = w
+                out = sums.items()
+            cols[col] = [(row, w) for row, w in out if w != 0]
+    return {(row, col): w for col, rows in enumerate(cols) for row, w in rows}
 
 
 def apply(state: StateDD, *gates: Gate) -> StateDD:
@@ -253,56 +259,56 @@ def _mv(ctx: Context, m, v, memo: dict, add_memo: dict) -> Edge:
     got = memo.get(key)
     if got is not None:
         return got
-    vl = v.low
-    vh = v.high
     if v.level > m.level:
         # The matrix does not touch this qubit: map both children through.
-        w = vl[1]
+        w = v.low_weight
         if w == 0:
             low = ZERO
         else:
-            sub, sw = _mv(ctx, m, vl[0], memo, add_memo)
+            sub, sw = _mv(ctx, m, v.low_node, memo, add_memo)
             low = (sub, w * sw)
-        w = vh[1]
+        w = v.high_weight
         if w == 0:
             high = ZERO
         else:
-            sub, sw = _mv(ctx, m, vh[0], memo, add_memo)
+            sub, sw = _mv(ctx, m, v.high_node, memo, add_memo)
             high = (sub, w * sw)
     else:
         e00, e01, e10, e11 = m.edges
-        wl = vl[1]
-        wh = vh[1]
+        vl = v.low_node
+        wl = v.low_weight
+        vh = v.high_node
+        wh = v.high_weight
         mt, mw = e00
         if mw == 0 or wl == 0:
             low = ZERO
         elif mt is TERMINAL:
-            low = (vl[0], mw * wl)
+            low = (vl, mw * wl)
         else:
-            sub, sw = _mv(ctx, mt, vl[0], memo, add_memo)
+            sub, sw = _mv(ctx, mt, vl, memo, add_memo)
             low = (sub, mw * wl * sw)
         mt, mw = e01
         if mw != 0 and wh != 0:
             if mt is TERMINAL:
-                term = (vh[0], mw * wh)
+                term = (vh, mw * wh)
             else:
-                sub, sw = _mv(ctx, mt, vh[0], memo, add_memo)
+                sub, sw = _mv(ctx, mt, vh, memo, add_memo)
                 term = (sub, mw * wh * sw)
             low = term if low[1] == 0 else _add(ctx, low, term, add_memo)
         mt, mw = e10
         if mw == 0 or wl == 0:
             high = ZERO
         elif mt is TERMINAL:
-            high = (vl[0], mw * wl)
+            high = (vl, mw * wl)
         else:
-            sub, sw = _mv(ctx, mt, vl[0], memo, add_memo)
+            sub, sw = _mv(ctx, mt, vl, memo, add_memo)
             high = (sub, mw * wl * sw)
         mt, mw = e11
         if mw != 0 and wh != 0:
             if mt is TERMINAL:
-                term = (vh[0], mw * wh)
+                term = (vh, mw * wh)
             else:
-                sub, sw = _mv(ctx, mt, vh[0], memo, add_memo)
+                sub, sw = _mv(ctx, mt, vh, memo, add_memo)
                 term = (sub, mw * wh * sw)
             high = term if high[1] == 0 else _add(ctx, high, term, add_memo)
     out = memo[key] = ctx.make_vnode(v.level, low, high)
@@ -343,36 +349,36 @@ def _add(ctx: Context, a: Edge, b: Edge, memo: dict) -> Edge:
     key = (an, bn, ratio)
     got = memo.get(key)
     if got is None:
-        al = an.low
-        bl = bn.low
-        w = bl[1]
+        t = an.low_node
+        tw = an.low_weight
+        w = bn.low_weight
         if w == 0:
-            low = al
-        elif al[1] == 0:
-            low = (bl[0], ratio * w)
-        elif al[0] is bl[0]:
-            w = al[1] + ratio * w
+            low = (t, tw)
+        elif tw == 0:
+            low = (bn.low_node, ratio * w)
+        elif t is bn.low_node:
+            w = tw + ratio * w
             if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
                 low = ZERO
             else:
-                low = (al[0], w)
+                low = (t, w)
         else:
-            low = _add(ctx, al, (bl[0], ratio * w), memo)
-        ah = an.high
-        bh = bn.high
-        w = bh[1]
+            low = _add(ctx, (t, tw), (bn.low_node, ratio * w), memo)
+        t = an.high_node
+        tw = an.high_weight
+        w = bn.high_weight
         if w == 0:
-            high = ah
-        elif ah[1] == 0:
-            high = (bh[0], ratio * w)
-        elif ah[0] is bh[0]:
-            w = ah[1] + ratio * w
+            high = (t, tw)
+        elif tw == 0:
+            high = (bn.high_node, ratio * w)
+        elif t is bn.high_node:
+            w = tw + ratio * w
             if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
                 high = ZERO
             else:
-                high = (ah[0], w)
+                high = (t, w)
         else:
-            high = _add(ctx, ah, (bh[0], ratio * w), memo)
+            high = _add(ctx, (t, tw), (bn.high_node, ratio * w), memo)
         got = memo[key] = ctx.make_vnode(an.level, low, high)
     return (got[0], got[1] * aw)
 
@@ -403,9 +409,14 @@ def _ip(x, y, memo: dict) -> complex:
     got = memo.get(key)
     if got is None:
         got = 0j
-        for (xt, xw), (yt, yw) in ((x.low, y.low), (x.high, y.high)):
-            if xw != 0 and yw != 0:
-                got += xw.conjugate() * yw * _ip(xt, yt, memo)
+        xw = x.low_weight
+        yw = y.low_weight
+        if xw != 0 and yw != 0:
+            got += xw.conjugate() * yw * _ip(x.low_node, y.low_node, memo)
+        xw = x.high_weight
+        yw = y.high_weight
+        if xw != 0 and yw != 0:
+            got += xw.conjugate() * yw * _ip(x.high_node, y.high_node, memo)
         memo[key] = got
     return got
 

@@ -1,4 +1,5 @@
 """Core diagram tests: canonical construction, lookups, round trips, GC."""
+import gc
 import os
 import random
 import subprocess
@@ -14,14 +15,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 import ddqsim
 from ddqsim import strategies
 from ddqsim.approx import approximate_round
-from ddqsim.circuit import gen_shor_period, gen_supremacy
+from ddqsim.circuit import gen_ghz, gen_shor_period, gen_supremacy
 from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
                        Context, _cell, _node_key, levels, squared_norm,
                        subtree_norms)
 from ddqsim.ops import apply
 from ddqsim.oracle import dense_fidelity, dense_simulate, random_state
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
-                               simulate_fidelity_driven, simulate_memory_driven)
+                               simulate_exact, simulate_fidelity_driven,
+                               simulate_memory_driven)
 
 from conftest import random_circuit, random_permutation
 
@@ -197,6 +199,30 @@ def test_zero_edges_are_terminal_stubs():
             for target, w in (node.low, node.high):
                 if w == 0:
                     assert target is TERMINAL
+
+
+def test_nodes_hold_their_edges_in_their_own_slots():
+    ctx = Context()
+    # The handles keep their diagrams alive while the table is walked.
+    states = [simulate_exact(gen_ghz(20), ctx)[0], _random_dd(ctx, 6, seed=5),
+              ctx.make_basis_state(5, "01101")]
+    zero_edges = 0
+    for ref in list(ctx._vtable.values()):
+        node = ref()
+        if node is None:
+            continue
+        assert not any(isinstance(r, tuple) for r in gc.get_referents(node))
+        for view, target, w in ((node.low, node.low_node, node.low_weight),
+                                (node.high, node.high_node, node.high_weight)):
+            assert view == (target, w)
+            assert view[0] is target and view[1] is w or view is ZERO
+            if w == 0:
+                zero_edges += 1
+                assert target is TERMINAL and view is ZERO
+    assert zero_edges >= 2 * 19  # one per node on each of GHZ's two chains
+    with pytest.raises(AttributeError):
+        node.low = ZERO  # the views are read-only
+    assert all(state.node_count() for state in states)
 
 
 def test_nodes_with_all_zero_children_collapse():
@@ -587,28 +613,28 @@ def test_check_invariants_detects_corruption(how):
         ctx._vtable[(node.level + 1, *key[1:])] = ctx._vtable.pop(key)
     elif how == "normalized":
         del ctx._vtable[key]
-        node.low = (node.low[0], node.low[1] * 0.5)
-        node.high = (node.high[0], node.high[1] * 0.5)
+        node.low_weight = node.low_weight * 0.5
+        node.high_weight = node.high_weight * 0.5
         ctx._vtable[_node_key(node)] = weakref.ref(node)
     elif how == "phase":
         # The larger weight keeps magnitude 1 but turns by 0.25 rad.
         del ctx._vtable[key]
         turn = complex(np.exp(0.25j))
-        node.low = (node.low[0], node.low[1] * turn)
-        node.high = (node.high[0], node.high[1] * turn)
+        node.low_weight = node.low_weight * turn
+        node.high_weight = node.high_weight * turn
         ctx._vtable[_node_key(node)] = weakref.ref(node)
     elif how == "one level down":
         # Skip a level: the low edge keeps its weight but jumps two down.
         del ctx._vtable[key]
-        node.low = (node.low[0].low[0], node.low[1])
+        node.low_node = node.low_node.low_node
         ctx._vtable[_node_key(node)] = weakref.ref(node)
     elif how == "norm":
         node.norm2 *= 1 + 1e-9
     else:
         # Move the low weight two cells over in place; its key still names
         # the old cell.
-        node.low = (node.low[0], node.low[1] + 2 * EPS)
-        assert _cell(node.low[1]) != key[2]
+        node.low_weight = node.low_weight + 2 * EPS
+        assert _cell(node.low_weight) != key[2]
     with pytest.raises(AssertionError, match=how):
         ctx.check_invariants()
 

@@ -8,7 +8,8 @@ import pytest
 from ddqsim import approx, strategies
 from ddqsim.circuit import Circuit, Gate, gen_ghz, gen_shor_period
 from ddqsim.dd import TERMINAL, Context
-from ddqsim.ops import apply, fidelity, gate_dd, inner_product, is_monomial
+from ddqsim.ops import (_composed_entries, _folded_entries, apply, fidelity,
+                        gate_dd, inner_product, is_monomial)
 from ddqsim.oracle import _apply_dense, dense_simulate, random_state
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
                                even_positions, plan_rounds, simulate_exact,
@@ -100,6 +101,41 @@ def test_fused_apply_of_dense_gates_matches_gate_by_gate():
     single = apply_one_by_one(ctx.from_dense(vec), gates).to_dense()
     assert np.abs(fused - single).max() <= 1e-12
     assert np.abs(fused - dense_run(vec, gates, n)).max() <= 1e-12
+
+
+def composed_by_dicts(gates, touched):
+    """Reference composition: each column a dict ``row -> weight``."""
+    cols = {col: {col: 1.0 + 0j} for col in range(1 << len(touched))}
+    for gate in gates:
+        step: dict = {}
+        for (row, col), w in _folded_entries(gate, touched).items():
+            step.setdefault(col, []).append((row, w))
+        for col, rows in cols.items():
+            out: dict = {}
+            for mid, w in rows.items():
+                for row, gw in step[mid]:
+                    if row in out:
+                        out[row] += gw * w
+                    else:
+                        out[row] = gw * w
+            cols[col] = {row: w for row, w in out.items() if w != 0}
+    return {(row, col): w for col, rows in cols.items()
+            for row, w in rows.items()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_composed_entries_match_the_dict_composition_bit_for_bit(seed):
+    # Monomial runs, and dense runs on four qubits whose products land on
+    # shared rows.
+    n = 4
+    rng = random.Random(seed)
+    runs = [[random_monomial_gate(rng, n) for _ in range(rng.randint(2, 12))],
+            random_circuit(n, 16, seed=seed).ops]
+    for gates in runs:
+        touched = sorted({q for gate in gates for q in gate.qubits()})
+        got = _composed_entries(tuple(gates), touched)
+        want = composed_by_dicts(gates, touched)
+        assert repr(sorted(got.items())) == repr(sorted(want.items()))
 
 
 def test_gate_dds_are_cached_per_gates_tuple():
