@@ -28,10 +28,14 @@ Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 for s = 11 and 4243 (70 and 68 sweeps); the 13-qubit QFT round trip; GHZ
 300; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108 at
 threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
-so that collections run; and 10 random 6-qubit 60-gate circuits with a
-garbage collection after every gate.  The memory-driven records exist to
-exercise the round path, so the script raises if one of them fires no
-round: at threshold 500 some grids never grow past it.
+so that collections run; 10 random 6-qubit 60-gate circuits with a
+garbage collection after every gate; and 10 random 6-qubit 120-gate
+circuits applied straight through ``apply(state, *gates)`` in seeded
+windows of 1-12 mixed dense and monomial gates, the only windows whose
+composed columns sum products per row, with a collection at the end.
+The memory-driven records exist to exercise the round path, so the
+script raises if one of them fires no round: at threshold 500 some grids
+never grow past it.
 
 Only public entry points and ``Context._next_uid`` are used, so the script
 runs against older checkouts too.  Compare two checkouts with::
@@ -185,6 +189,21 @@ def main() -> None:
             state = nxt
             ctx.collect_garbage()
         emit(f"random_6q_s{seed}_gc_each", state, ctx, reclaimed)
+
+    for seed in range(10):
+        ops = random_circuit(6, 120, 100 + seed).ops
+        rng = random.Random(seed)
+        ctx, reclaimed = counted_context()
+        state = ctx.make_basis_state(6, "0" * 6)
+        done = 0
+        while done < len(ops):
+            size = rng.randint(1, 12)
+            nxt = apply(state, *ops[done:done + size])
+            state.release()
+            state = nxt
+            done += size
+        ctx.collect_garbage()
+        emit(f"random_6q_s{seed}_windows", state, ctx, reclaimed)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 import cmath
 import math
+import numbers
 import random
 import re
 import warnings
@@ -84,6 +85,9 @@ class Circuit:
             if g.kind in ANGLE_KINDS:
                 if g.angle is None:
                     raise ValueError(f"{g.kind} requires an angle")
+                if not isinstance(g.angle, numbers.Real) or not math.isfinite(g.angle):
+                    raise ValueError(f"{g.kind} angle must be a finite real "
+                                     f"number, got {g.angle!r}")
             elif g.angle is not None:
                 raise ValueError(f"{g.kind} takes no angle")
             if g.kind == "PERMUTATION":
@@ -331,24 +335,37 @@ def _eval_angle(src: str, line: int, col: int) -> float:
 
 
 def _eval_node(node, src: str, line: int, col: int) -> float:
-    """Value of one node of the angle expression ``src``."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
+    """Value of one node of the angle expression ``src``.
+
+    Every number and every intermediate result must be a finite real
+    float: a division by zero, an overflow, an infinite literal or a
+    complex power is a parse error, not a traceback or a corrupt state.
+    """
     if isinstance(node, ast.Name) and node.id == "pi":
         return math.pi
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         v = _eval_node(node.operand, src, line, col)
         return -v if isinstance(node.op, ast.USub) else v
-    if isinstance(node, ast.BinOp):
-        # BitXor covers the QASM power operator '^'.
-        ops = {ast.Add: float.__add__, ast.Sub: float.__sub__,
-               ast.Mult: float.__mul__, ast.Div: float.__truediv__,
-               ast.Pow: float.__pow__, ast.BitXor: float.__pow__}
-        fn = ops.get(type(node.op))
-        if fn is not None:
-            return fn(_eval_node(node.left, src, line, col),
-                      _eval_node(node.right, src, line, col))
-    raise QasmParseError(f"unsupported angle expression {src.strip()!r}", line, col)
+    # BitXor covers the QASM power operator '^'.
+    ops = {ast.Add: float.__add__, ast.Sub: float.__sub__,
+           ast.Mult: float.__mul__, ast.Div: float.__truediv__,
+           ast.Pow: float.__pow__, ast.BitXor: float.__pow__}
+    try:
+        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            value = float(node.value)
+        elif isinstance(node, ast.BinOp) and type(node.op) in ops:
+            value = ops[type(node.op)](_eval_node(node.left, src, line, col),
+                                       _eval_node(node.right, src, line, col))
+        else:
+            raise QasmParseError(
+                f"unsupported angle expression {src.strip()!r}", line, col)
+    except ArithmeticError:
+        # ZeroDivisionError, or OverflowError from a huge power or literal.
+        value = None
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise QasmParseError(f"angle expression {src.strip()!r} is not a "
+                             "finite real number", line, col)
+    return value
 
 
 def _statements(text: str):

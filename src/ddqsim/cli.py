@@ -182,20 +182,10 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"simulate: error: {e}", file=sys.stderr)
         return 1
-
+    # One map from errors to exit codes for everything after parsing; a
+    # QasmParseError is a ValueError, so it is caught first.
     try:
         circuit, notes = _load_circuit(args)
-    except QasmParseError as e:
-        print(f"{args.qasm}: {e}", file=sys.stderr)
-        return 2
-    except _UsageError as e:
-        print(f"simulate: error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
-        print(f"simulate: error: {e}", file=sys.stderr)
-        return 1
-
-    try:
         if args.mode == "exact":
             state, stats = simulate_exact(circuit)
         elif args.mode == "memory":
@@ -207,70 +197,64 @@ def main(argv=None) -> int:
                                           f_round=args.f_round,
                                           placement=args.placement)
             state, stats = simulate_fidelity_driven(circuit, config)
-    except ValueError as e:
-        print(f"simulate: error: {e}", file=sys.stderr)
-        return 1
+        stats.warnings = notes + stats.warnings
+
+        verify = None
+        if args.verify:
+            if circuit.num_qubits > VERIFY_LIMIT:
+                print(f"simulate: --verify skipped: {circuit.num_qubits} "
+                      f"qubits exceeds the dense check limit of "
+                      f"{VERIFY_LIMIT}", file=sys.stderr)
+                verify = {"oracle_fidelity": None}
+            else:
+                # The dense oracle needs numpy, which nothing else here loads.
+                from . import oracle
+
+                reference = oracle.dense_simulate(circuit)
+                verify = {"oracle_fidelity":
+                          oracle.dense_fidelity(reference, state.to_dense())}
+
+        dump = state.to_dense() if args.dump_amplitudes else None
+
+        runtime = time.perf_counter() - started
+        payload = stats.as_dict()
+        payload["f_round"] = None if args.mode == "exact" else args.f_round
+        payload["runtime_seconds"] = runtime
+        payload["verify"] = verify
+
+        summary = (f"benchmark={stats.benchmark or '-'} mode={stats.mode} "
+                   f"qubits={stats.num_qubits} gates={stats.num_gates} "
+                   f"max_dd_size={stats.max_dd_size} "
+                   f"final_dd_size={stats.final_dd_size} "
+                   f"rounds={len(stats.rounds)} "
+                   f"fidelity_lower_bound={stats.fidelity_lower_bound:.12g} "
+                   f"runtime_seconds={runtime:.3f}")
+        if verify is not None and verify["oracle_fidelity"] is not None:
+            summary += f" oracle_fidelity={verify['oracle_fidelity']:.12g}"
+        print(summary)
+        for note in stats.warnings:
+            print(f"simulate: note: {note}", file=sys.stderr)
+
+        if dump is not None:
+            for index, amp in enumerate(dump):
+                if amp != 0:
+                    print(f"{index} {amp.real:.17g} {amp.imag:.17g}")
+
+        if args.stats:
+            Path(args.stats).write_text(
+                json.dumps(payload, indent=2) + "\n")
+        if args.csv:
+            _append_csv(args.csv, args, stats, verify, runtime)
+        return 0
+    except QasmParseError as e:
+        print(f"{args.qasm}: {e}", file=sys.stderr)
+        return 2
     except CapacityError as e:
         print(f"simulate: capacity: {e}", file=sys.stderr)
         return 3
-    stats.warnings = notes + stats.warnings
-
-    verify = None
-    if args.verify:
-        if circuit.num_qubits > VERIFY_LIMIT:
-            print(f"simulate: --verify skipped: {circuit.num_qubits} qubits "
-                  f"exceeds the dense check limit of {VERIFY_LIMIT}",
-                  file=sys.stderr)
-            verify = {"oracle_fidelity": None}
-        else:
-            # The dense oracle needs numpy, which nothing else here loads.
-            from . import oracle
-
-            reference = oracle.dense_simulate(circuit)
-            verify = {"oracle_fidelity":
-                      oracle.dense_fidelity(reference, state.to_dense())}
-
-    dump = None
-    if args.dump_amplitudes:
-        try:
-            dump = state.to_dense()
-        except CapacityError as e:
-            print(f"simulate: capacity: {e}", file=sys.stderr)
-            return 3
-
-    runtime = time.perf_counter() - started
-    payload = stats.as_dict()
-    payload["f_round"] = None if args.mode == "exact" else args.f_round
-    payload["runtime_seconds"] = runtime
-    payload["verify"] = verify
-
-    summary = (f"benchmark={stats.benchmark or '-'} mode={stats.mode} "
-               f"qubits={stats.num_qubits} gates={stats.num_gates} "
-               f"max_dd_size={stats.max_dd_size} "
-               f"final_dd_size={stats.final_dd_size} "
-               f"rounds={len(stats.rounds)} "
-               f"fidelity_lower_bound={stats.fidelity_lower_bound:.12g} "
-               f"runtime_seconds={runtime:.3f}")
-    if verify is not None and verify["oracle_fidelity"] is not None:
-        summary += f" oracle_fidelity={verify['oracle_fidelity']:.12g}"
-    print(summary)
-    for note in stats.warnings:
-        print(f"simulate: note: {note}", file=sys.stderr)
-
-    if dump is not None:
-        for index, amp in enumerate(dump):
-            if amp != 0:
-                print(f"{index} {amp.real:.17g} {amp.imag:.17g}")
-
-    try:
-        if args.stats:
-            Path(args.stats).write_text(json.dumps(payload, indent=2) + "\n")
-        if args.csv:
-            _append_csv(args.csv, args, stats, verify, runtime)
-    except OSError as e:
+    except (_UsageError, ValueError, OSError) as e:
         print(f"simulate: error: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 def _append_csv(path: str, args, stats, verify, runtime: float) -> None:

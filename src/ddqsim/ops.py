@@ -1,15 +1,16 @@
 """Gate application and inner products on decision diagrams.
 
-A gate becomes a matrix diagram over only the qubits it touches; levels it
-never mentions are skipped entirely (applying it treats them as identity on
-the fly).  Matrix diagrams are built from a sparse ``(row, col) -> weight``
-map over the touched qubits, the gate's
+A window of gates, one gate or many, becomes one matrix diagram over only
+the qubits it touches; levels it never mentions are skipped entirely
+(applying it treats them as identity on the fly).  Every window takes one
+path: each gate's columns over the touched qubits are its
 :func:`~ddqsim.circuit.gate_entries` with controls folded in as diagonal
-blocks, so one code path covers plain, controlled and permutation gates.
-A run of gates becomes one matrix diagram over the union of their qubits,
-its columns composed gate after gate (combined-operation simulation, as in
-Zulehner & Wille, "Advanced Simulation of Quantum Computations", IEEE TCAD
-2019), and is applied in one pass over the state.  The drivers in
+blocks, so plain, controlled and permutation gates are alike; the window's
+columns start as its first gate's and are composed gate after gate
+(combined-operation simulation, as in Zulehner & Wille, "Advanced
+Simulation of Quantum Computations", IEEE TCAD 2019); and the product,
+flattened to a sparse ``(row, col) -> weight`` map, is built into a
+diagram and applied in one pass over the state.  The drivers in
 :mod:`ddqsim.strategies` fuse only runs of monomial gates (see
 :func:`is_monomial`), whose composed matrix stays one weighted permutation.
 A block that is the identity on every touched qubit below it is the
@@ -60,24 +61,21 @@ def gate_dd(ctx: Context, *gates: Gate) -> Edge:
     """Matrix diagram of ``gates`` applied in order, cached on the context
     per gates tuple.
 
-    The diagram spans the sorted union of the gates' qubits.  One gate's
-    sparse matrix is its folded entries (see :func:`_folded_entries`); the
-    matrix of several is the product of theirs, composed column by column
-    (see :func:`_composed_entries`), so a run of monomial gates stays one
-    weighted permutation.  A sub-block that is the identity on every
-    touched qubit it still spans becomes the edge ``(TERMINAL, 1)``, which
-    :func:`_mv` maps to its vector operand unchanged.  Gates that are the
+    The diagram spans the sorted union of the gates' qubits.  Its sparse
+    matrix is the product of the gates' folded columns, composed column by
+    column (see :func:`_composed_entries`), for one gate as for many, so a
+    run of monomial gates stays one weighted permutation.  A sub-block that
+    is the identity on every touched qubit it still spans becomes the edge
+    ``(TERMINAL, 1)``, which :func:`_mv` maps to its vector operand
+    unchanged.  Gates that are the
     identity on all they touch are that edge as a whole.
     """
     cached = ctx.gate_dds.get(gates)
     if cached is not None:
         return cached
     touched = sorted({q for gate in gates for q in gate.qubits()})
-    if len(gates) == 1:
-        entries = _folded_entries(gates[0], touched)
-    else:
-        entries = _composed_entries(gates, touched)
-    edge = _build_block(ctx, touched, {}, entries, len(touched) - 1)
+    edge = _build_block(ctx, touched, {}, _composed_entries(gates, touched),
+                        len(touched) - 1)
     ctx.gate_dds[gates] = edge
     return edge
 
@@ -129,15 +127,16 @@ def _build_block(ctx: Context, touched: list[int], memo: dict, sub: dict,
     return got
 
 
-def _folded_entries(gate: Gate, touched: list[int]) -> dict:
-    """Sparse matrix of ``gate`` over ``touched``, a sorted superset of its
-    qubits, with controls folded in.
+def _folded_columns(gate: Gate, touched: list[int]) -> list:
+    """Columns of ``gate`` over ``touched``, a sorted superset of its
+    qubits, with controls folded in: column ``col`` is the list of its
+    nonzero ``(row, weight)`` pairs.
 
     Local bit ``p`` stands for qubit ``touched[p]``.  Control bits act as
-    diagonal selectors: rows/columns whose control bits are not all ones lie
-    on an identity block.  On the all-ones block the target unitary's
-    nonzero entries from :func:`ddqsim.circuit.gate_entries` act, as they
-    are, on the target bits and leave every other bit as it is.
+    diagonal selectors: columns whose control bits are not all ones hold a
+    single ``1`` on the diagonal.  On the all-ones block the target
+    unitary's nonzero entries from :func:`ddqsim.circuit.gate_entries` act,
+    as they are, on the target bits and leave every other bit as it is.
     """
     tpos = [touched.index(q) for q in gate.targets]
     cmask = 0
@@ -150,53 +149,50 @@ def _folded_entries(gate: Gate, touched: list[int]) -> dict:
     for (tr, tc), w in gate_entries(gate).items():
         by_col.setdefault(tc, []).append((tr, w))
 
-    entries: dict = {}
+    cols = []
     for col in range(1 << len(touched)):
         if (col & cmask) != cmask:
             # Identity where the control bits are not all ones.
-            entries[(col, col)] = 1.0 + 0j
+            cols.append([(col, 1.0 + 0j)])
             continue
         tc = 0
         for b, p in enumerate(tpos):
             tc |= ((col >> p) & 1) << b
         rest = col & ~tmask
+        rows = []
         for tr, w in by_col.get(tc, ()):
             row = rest
             for b, p in enumerate(tpos):
                 row |= ((tr >> b) & 1) << p
-            entries[(row, col)] = w
-    return entries
+            rows.append((row, w))
+        cols.append(rows)
+    return cols
 
 
 def _composed_entries(gates: tuple, touched: list[int]) -> dict:
-    """Sparse matrix of ``gates`` applied in order, over ``touched``.
+    """Sparse matrix ``(row, col) -> weight`` of ``gates`` applied in
+    order, over ``touched``.
 
-    Each column is a flat list of ``(row, weight)`` pairs that every gate's
-    folded entries carry forward, one gate after the other; for monomial
-    gates it holds one pair throughout, whose weight is the product of one
-    weight per gate.  Products that land on one row are summed in the order
-    they arise, which only a gate with two entries in one row can cause, and
-    entries that cancel to exactly zero are dropped.
+    The columns start as the first gate's own (see :func:`_folded_columns`),
+    so one gate keeps its entries exactly; every later gate maps each
+    ``(row, weight)`` pair of a column through its own column ``row``.  For
+    monomial gates a column holds one pair throughout, whose weight is the
+    product of one weight per gate.  Products that land on one row are
+    summed in the order they arise, which only a gate with two entries in
+    one row can cause, and entries that cancel to exactly zero are dropped.
     """
-    size = 1 << len(touched)
-    cols = [[(col, 1.0 + 0j)] for col in range(size)]
-    for gate in gates:
-        folded = _folded_entries(gate, touched)
-        step: list = [[] for _ in range(size)]
-        for (row, col), w in folded.items():
-            step[col].append((row, w))
-        merge = len({row for row, _ in folded}) != len(folded)
+    cols = _folded_columns(gates[0], touched)
+    for gate in gates[1:]:
+        step = _folded_columns(gate, touched)
         for col, rows in enumerate(cols):
-            out = [(row, gw * w) for mid, w in rows for row, gw in step[mid]]
-            if merge:
-                sums: dict = {}
-                for row, w in out:
+            sums: dict = {}
+            for mid, w in rows:
+                for row, gw in step[mid]:
                     if row in sums:
-                        sums[row] += w
+                        sums[row] += gw * w
                     else:
-                        sums[row] = w
-                out = sums.items()
-            cols[col] = [(row, w) for row, w in out if w != 0]
+                        sums[row] = gw * w
+            cols[col] = [(row, w) for row, w in sums.items() if w != 0]
     return {(row, col): w for col, rows in enumerate(cols) for row, w in rows}
 
 
@@ -205,12 +201,11 @@ def apply(state: StateDD, *gates: Gate) -> StateDD:
     intact).
 
     The gates act as one matrix diagram from :func:`gate_dd`, in one pass
-    over the state.  One gate takes the same path, bit for bit, as it
-    always did; several give the same state up to rounding, as their
-    weights multiply in another order.  Python's cyclic garbage collector
-    is paused while the gates run (see :func:`ddqsim.dd.collector_paused`):
-    a pass builds many nodes, and each collection would re-scan the whole
-    live diagram.
+    over the state.  Several gates give the same state as one at a time up
+    to rounding, as their weights multiply in another order.  Python's
+    cyclic garbage collector is paused while the gates run (see
+    :func:`ddqsim.dd.collector_paused`): a pass builds many nodes, and each
+    collection would re-scan the whole live diagram.
     """
     if not gates:
         raise ValueError("apply needs at least one gate")

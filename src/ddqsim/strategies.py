@@ -163,8 +163,12 @@ def even_positions(num_gates: int, rounds: int) -> list[int]:
     """Round positions spread evenly through the gate list.
 
     Position ``p`` means "after gate ``p``"; positions collide and drop out
-    when there are more rounds than interior gaps.
+    when there are more rounds than interior gaps.  With at least as many
+    rounds as gaps every gap holds one, so the answer is known without a
+    loop over the rounds, which a tiny per-round budget can make astronomic.
     """
+    if rounds >= num_gates - 1:
+        return list(range(1, num_gates))
     raw = (math.ceil(k * num_gates / (rounds + 1)) for k in range(1, rounds + 1))
     return sorted({p for p in raw if 0 < p < num_gates})
 

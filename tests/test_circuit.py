@@ -131,6 +131,9 @@ def test_validate_rejects_malformed_circuits():
         Circuit(2, [Gate("X", (2,))]),
         Circuit(2, [Gate("RX", (0,))]),                      # missing angle
         Circuit(2, [Gate("X", (0,), angle=1.0)]),            # stray angle
+        Circuit(2, [Gate("RZ", (0,), angle=math.inf)]),
+        Circuit(2, [Gate("RZ", (0,), angle=math.nan)]),
+        Circuit(2, [Gate("RZ", (0,), angle=1 + 1j)]),          # complex angle
         Circuit(2, [Gate("SWAP", (0,))]),
         Circuit(2, [Gate("PERMUTATION", (1, 0), table=(0, 1, 2, 3))]),
         Circuit(2, [Gate("PERMUTATION", (0, 1), table=(0, 0, 2, 3))]),
@@ -210,6 +213,11 @@ def test_parse_comments_and_whitespace():
     ("qreg q[1];\nh(0.5) q[0];", "takes no angle", 2),
     ("qreg q[1];\nrx(pi/0x) q[0];", "malformed angle", 2),
     ("qreg q[1];\nrx(exp(1)) q[0];", "unsupported angle", 2),
+    ("qreg q[1];\nrz(1/0) q[0];", "not a finite real", 2),
+    ("qreg q[1];\nrx(0^-1) q[0];", "not a finite real", 2),
+    ("qreg q[1];\nrz(10^400) q[0];", "not a finite real", 2),
+    ("qreg q[1];\nrz(1e308*10) q[0];", "not a finite real", 2),
+    ("qreg q[1];\nh q[0];\nrz((-8)^(1/3)) q[0];", "not a finite real", 3),
     ("qreg q[1];\nh q[0]", "';'", 2),
     ("qreg q[1];\ngate foo a { h a; }", "not supported", 2),
 ])

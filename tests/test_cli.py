@@ -164,6 +164,22 @@ def test_qasm_errors_exit_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("angle", ["1/0", "0^-1", "10^400", "1e308*10",
+                                   "(-8)^(1/3)"])
+def test_bad_angles_exit_2_without_a_traceback(tmp_path, angle):
+    path = tmp_path / "angle.qasm"
+    path.write_text(f"OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrz({angle}) q[0];\n")
+    src = str(Path(ddqsim.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ddqsim.cli", str(path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2
+    assert "line 4" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_capacity_guard_exit_3(capsys):
     # GHZ itself stays tiny at any width; the dense dump is what trips the
     # capacity guard past 20 qubits.

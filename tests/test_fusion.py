@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ddqsim import approx, strategies
-from ddqsim.circuit import Circuit, Gate, gen_ghz, gen_shor_period
+from ddqsim.circuit import (Circuit, Gate, gate_entries, gen_ghz,
+                            gen_shor_period)
 from ddqsim.dd import TERMINAL, Context
-from ddqsim.ops import (_composed_entries, _folded_entries, apply, fidelity,
+from ddqsim.ops import (_composed_entries, _folded_columns, apply, fidelity,
                         gate_dd, inner_product, is_monomial)
 from ddqsim.oracle import _apply_dense, dense_simulate, random_state
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
@@ -104,12 +105,11 @@ def test_fused_apply_of_dense_gates_matches_gate_by_gate():
 
 
 def composed_by_dicts(gates, touched):
-    """Reference composition: each column a dict ``row -> weight``."""
-    cols = {col: {col: 1.0 + 0j} for col in range(1 << len(touched))}
-    for gate in gates:
-        step: dict = {}
-        for (row, col), w in _folded_entries(gate, touched).items():
-            step.setdefault(col, []).append((row, w))
+    """Reference composition: each column a dict ``row -> weight``, starting
+    from the first gate's own columns."""
+    first, *rest = [_folded_columns(gate, touched) for gate in gates]
+    cols = {col: dict(rows) for col, rows in enumerate(first)}
+    for step in rest:
         for col, rows in cols.items():
             out: dict = {}
             for mid, w in rows.items():
@@ -125,17 +125,27 @@ def composed_by_dicts(gates, touched):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_composed_entries_match_the_dict_composition_bit_for_bit(seed):
-    # Monomial runs, and dense runs on four qubits whose products land on
-    # shared rows.
+    # Monomial runs, dense runs on four qubits whose products land on
+    # shared rows, and one-gate runs (dense, controlled, permutation),
+    # whose entries are the gate's own, zero signs included.
     n = 4
     rng = random.Random(seed)
     runs = [[random_monomial_gate(rng, n) for _ in range(rng.randint(2, 12))],
-            random_circuit(n, 16, seed=seed).ops]
+            random_circuit(n, 16, seed=seed).ops,
+            [Gate("H", (seed % n,))],
+            [Gate("Y", (0,), controls=(seed % 3 + 1,))],
+            [Gate("PERMUTATION", (1, 2), controls=(0,),
+                  table=tuple(rng.sample(range(4), 4)))],
+            [random_monomial_gate(rng, n)]]
     for gates in runs:
         touched = sorted({q for gate in gates for q in gate.qubits()})
         got = _composed_entries(tuple(gates), touched)
         want = composed_by_dicts(gates, touched)
         assert repr(sorted(got.items())) == repr(sorted(want.items()))
+        if len(gates) == 1:
+            # One gate keeps its own weights, unmultiplied.
+            own = {repr(w) for w in gate_entries(gates[0]).values()}
+            assert {repr(w) for w in got.values()} <= own | {repr(1 + 0j)}
 
 
 def test_gate_dds_are_cached_per_gates_tuple():

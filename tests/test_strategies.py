@@ -58,6 +58,23 @@ def test_even_positions_spread():
                 assert 0 < p < num_gates
 
 
+def spread_by_loop(num_gates, rounds):
+    """The per-round spread, one position per planned round."""
+    raw = (math.ceil(k * num_gates / (rounds + 1))
+           for k in range(1, rounds + 1))
+    return sorted({p for p in raw if 0 < p < num_gates})
+
+
+@pytest.mark.parametrize("num_gates", [2, 3, 7, 40])
+def test_even_positions_fill_every_gap_without_a_loop(num_gates):
+    g = num_gates
+    for rounds in (g - 2, g - 1, g, 3 * g):
+        assert even_positions(g, rounds) == spread_by_loop(g, rounds)
+    # A round budget of 1e-300 at 0.9999999 plans about 7e9 rounds; the
+    # answer must come at once, not after one loop step per round.
+    assert even_positions(4, 10**18) == [1, 2, 3]
+
+
 def test_marker_positions_capping():
     markers = [0, 3, 7, 12, 20]
     got, notes = marker_positions(markers, 20, 2)
