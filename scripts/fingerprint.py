@@ -9,8 +9,8 @@ same hash for every record before and after.  Each record hashes
 * a SHA-256 of the final ``to_dense()`` vector (for GHZ, too wide to expand,
   its two nonzero amplitudes);
 * the return value of every ``collect_garbage()`` call, the number of dead
-  unique-table entries it swept;
-* the final size of the unique table, dead entries included;
+  nodes it freed from the unique table;
+* the final size of the unique table, dead nodes included;
 * ``StateDD.norm()`` of the final state, so that a change to how norms are
   computed shows up even where the dense vector does not.
 

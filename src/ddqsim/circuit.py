@@ -325,13 +325,19 @@ def _parse_operands(src: str, qreg: tuple[str, int], line: int, col: int) -> lis
 
 
 def _eval_angle(src: str, line: int, col: int) -> float:
-    """Evaluate an arithmetic angle expression over numbers and ``pi``."""
+    """Evaluate an arithmetic angle expression over numbers and ``pi``.
+
+    An expression nested too deeply for the parser or for
+    :func:`_eval_node` (``RecursionError`` or ``MemoryError``) is a parse
+    error too.
+    """
     try:
         tree = ast.parse(src.strip(), mode="eval")
+        return _eval_node(tree.body, src, line, col)
     except SyntaxError:
         raise QasmParseError(f"malformed angle expression {src.strip()!r}", line, col) from None
-
-    return _eval_node(tree.body, src, line, col)
+    except (RecursionError, MemoryError):
+        raise QasmParseError("angle expression is nested too deeply", line, col) from None
 
 
 def _eval_node(node, src: str, line: int, col: int) -> float:

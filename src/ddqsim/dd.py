@@ -44,23 +44,22 @@ Conventions pinned here and relied on by every other module:
   sub-vectors whose normalized weights differ only by rounding dust share
   one node, and the unique table cannot fill up with near-duplicates.  A
   node keeps the raw normalized weights of the computation that built it,
-  for as long as it lives (see Liveness).  Weights within ``EPS`` of zero in
-  both components become the zero stub.  Incoming scale factors stay raw.
+  for as long as it stays in the table (see Liveness).  Weights within
+  ``EPS`` of zero in both components become the zero stub.  Incoming scale
+  factors stay raw.
 * Index convention: bitstring ``b_{n-1}...b_0`` (qubit ``n-1`` written first)
   maps to the integer index with ``b_{n-1}`` most significant.
 * Liveness: CPython's reference counts decide it.  The unique table holds
-  each node through a weak reference without a callback, under a key that
-  names its children by ``uid``, so nothing but the edges of live parents
-  and the roots of :class:`StateDD` handles keeps a node alive, and a node
-  is freed the moment the last of those goes.  Its table entry then lies
-  dead until :meth:`Context.collect_garbage` sweeps it; a dead entry is
-  never returned, and its key cannot match a new node, because uids are
-  never reused.
+  each node strongly, under a key that names its children by ``uid``, in
+  creation order.  A node that no live parent's edge and no
+  :class:`StateDD` root holds is dead: it stays in the table, where a later
+  lookup finds it again, until :meth:`Context.collect_garbage` frees it.
 * No cycles: nodes point only down, at their children, and no helper is a
   closure that calls itself (a recursive walk is a module-level function
   that takes its memo and context as arguments).  The engine therefore
-  makes no reference cycles, Python's reference counting frees a dropped
-  diagram, memo or context at once, and gate application and the drivers in
+  makes no reference cycles: Python's reference counting frees a dropped
+  memo or context at once, and a dead node when the sweep drops its entry
+  (see Liveness).  Gate application and the drivers in
   :mod:`ddqsim.strategies` pause the cyclic garbage collector (see
   :func:`collector_paused`).
 * Dense paths: numpy is imported only by the functions that take or return
@@ -73,7 +72,7 @@ independent contexts may run concurrently in separate threads or processes.
 from __future__ import annotations
 
 import gc
-import weakref
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -115,9 +114,10 @@ def collector_paused():
     back on afterwards only if it was on before, also when the block raises.
 
     The engine makes no reference cycles (see Conventions), so reference
-    counting frees everything a block drops, and the collector would only
-    re-scan the live diagram again and again.  Inside a block where the
-    collector is already off, this leaves it off.
+    counting and :meth:`Context.collect_garbage` free everything a block
+    drops, and the collector would only re-scan the live diagram again and
+    again.  Inside a block where the collector is already off, this leaves
+    it off.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -173,14 +173,14 @@ class VNode:
     is a single object; a zero edge is the target ``TERMINAL`` with weight
     ``0j``.  ``low`` and ``high`` are read-only views that pair a slot's
     target and weight into an edge tuple (``ZERO`` for a zero edge); the
-    kernels read the slots instead.  A live node costs about 415 bytes with
-    its unique-table entry, its weakref and its weights (tracemalloc over the
-    53,248-node final state of fidelity-driven Shor 35 with markers, CPython
-    3.11, 64-bit).
+    kernels read the slots instead.  A live node costs about 327 bytes with
+    its unique-table entry and its weights (tracemalloc over the 53,248-node
+    final state of fidelity-driven Shor 35 with markers, CPython 3.11,
+    64-bit).
     """
 
     __slots__ = ("level", "low_node", "low_weight", "high_node", "high_weight",
-                 "uid", "norm2", "__weakref__")
+                 "uid", "norm2")
 
     def __init__(self, level: int, low_node, low_weight: complex, high_node,
                  high_weight: complex, uid: int, norm2: float):
@@ -251,9 +251,8 @@ class Context:
 
     All diagrams created through one context live in its tables; diagrams
     from different contexts must not be combined by operations that create
-    nodes.  The table holds its nodes weakly (see Conventions): a node lives
-    as long as a handle's root or a live parent's edge holds it, and
-    :meth:`collect_garbage` only sweeps the entries of nodes already freed.
+    nodes.  The table holds its nodes strongly (see Conventions), and
+    :meth:`collect_garbage` frees the ones nothing else holds.
 
     Operations memoize in dicts of their own that live for one gate, not in
     the context.  ``apply_cache`` and ``add_cache`` are unused bounded
@@ -265,7 +264,7 @@ class Context:
         # Always empty: nodes are keyed by weight cell and no weight table
         # exists.  Kept only because the benchmark tracer reads its length.
         self._weights: dict = {}
-        # Node key -> weakref.ref(node), without a callback.
+        # Node key -> node, in creation order.
         self._vtable: dict = {}
         self._next_uid = 1
         # Not read by this package; see DEFAULT_COMPUTE_TABLE_SIZE.
@@ -303,11 +302,11 @@ class Context:
         magnitudes.  A child whose relative weight falls below ``EPS``
         collapses to the zero stub; if everything vanishes, so does the
         node.  The node is looked up under :func:`_node_key` of the
-        normalized edges: a live node found keeps the weights it was built
-        with, which lie in the same cells as the ones asked for; a node
-        built, also in place of a dead entry, stores the normalized weights
-        as they are, and as ``norm2`` the chosen child's plus the other
-        weight's squared magnitude times the other child's.
+        normalized edges: a node found, also a dead one not yet swept, keeps
+        the weights it was built with, which lie in the same cells as the
+        ones asked for; a node built stores the normalized weights as they
+        are, and as ``norm2`` the chosen child's plus the other weight's
+        squared magnitude times the other child's.
         """
         wl = low[1]
         wh = high[1]
@@ -328,8 +327,7 @@ class Context:
             else:
                 key = (level, low[0].uid, w / EPS + _SNAP - _SNAP,
                        high[0].uid, _UNIT_CELL)
-            ref = self._vtable.get(key)
-            node = None if ref is None else ref()
+            node = self._vtable.get(key)
             if node is None:
                 hn = high[0]
                 if key[2] == 0:
@@ -340,7 +338,7 @@ class Context:
                     node = VNode(level, ln, w, hn, 1.0 + 0j, self._next_uid,
                                  hn.norm2 + (re * re + im * im) * ln.norm2)
                 self._next_uid += 1
-                self._vtable[key] = weakref.ref(node)
+                self._vtable[key] = node
             return (node, wh)
         if ml <= EPS:
             return ZERO
@@ -352,8 +350,7 @@ class Context:
         else:
             key = (level, low[0].uid, _UNIT_CELL, high[0].uid,
                    w / EPS + _SNAP - _SNAP)
-        ref = self._vtable.get(key)
-        node = None if ref is None else ref()
+        node = self._vtable.get(key)
         if node is None:
             ln = low[0]
             if key[4] == 0:
@@ -364,37 +361,47 @@ class Context:
                 node = VNode(level, ln, 1.0 + 0j, hn, w, self._next_uid,
                              ln.norm2 + (re * re + im * im) * hn.norm2)
             self._next_uid += 1
-            self._vtable[key] = weakref.ref(node)
+            self._vtable[key] = node
         return (node, wl)
 
     # -- garbage collection ----------------------------------------------
 
     def collect_garbage(self) -> int:
-        """Drop the entries of freed nodes; returns how many were dropped.
+        """Free the nodes that only the unique table holds; returns how
+        many entries were dropped.
 
-        Reference counting has already freed every node nothing holds, so
-        this sweep only reads each entry's weakref and keeps the live ones,
-        in table order, in a fresh dict that returns the memory the dead
-        entries held.  Live nodes keep their weights and their keys.
-        ``gate_dds`` is cleared too and rebuilt on demand, so a long run of
-        distinct parametric gates cannot grow it without bound.
+        The table is in creation order (an entry is never replaced) and a
+        node is made after its children, so a walk newest first meets every
+        parent before its children.  It deletes each entry whose node
+        nothing else holds (``sys.getrefcount`` 2 on CPython 3.10-3.12: the
+        table's reference and the call's), which frees the node and its hold
+        on its children, so one pass frees a whole dead diagram without
+        recursion.  The live entries are then copied, in order, into a fresh
+        dict that returns the memory the dead ones held; live nodes keep
+        their weights and their keys.  ``gate_dds`` is cleared too and
+        rebuilt on demand, so a long run of distinct parametric gates cannot
+        grow it without bound.
         """
         self.gate_dds.clear()
-        before = len(self._vtable)
-        self._vtable = {key: ref for key, ref in self._vtable.items()
-                        if ref() is not None}
-        return before - len(self._vtable)
+        keys = list(self._vtable)
+        for key in reversed(keys):
+            if sys.getrefcount(self._vtable[key]) == 2:
+                del self._vtable[key]
+        self._vtable = dict(self._vtable)
+        return len(keys) - len(self._vtable)
 
     def unique_table_size(self) -> int:
-        """Number of unique-table entries, dead ones included until the
+        """Number of unique-table entries, dead nodes included until the
         next :meth:`collect_garbage`."""
         return len(self._vtable)
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` unless the vector-node table is sound.
 
-        Skips dead entries.  For each live node, checks that its key names
-        its level, the uids of its edge targets and the cells of its stored
+        Checks that the table is in creation order (``uid`` rises along it),
+        which the one-pass sweep of :meth:`collect_garbage` relies on.  For
+        each node, dead ones included, checks that its key names its level,
+        the uids of its edge targets and the cells of its stored
         weights (a weight outside the cell its key names is non-canonical);
         that it is normalized, its chosen edge (the low one unless that is
         not exactly 1) storing exactly ``1+0j`` and the other edge a
@@ -402,15 +409,15 @@ class Context:
         ``1 + 2 * EPS``); that each nonzero edge leads exactly one level down
         and each zero edge is the zero stub, which
         :meth:`StateDD.node_count` relies on; that every nonzero child is
-        the live node stored under its own key; and that its ``norm2`` is
+        the node stored under its own key; and that its ``norm2`` is
         bit for bit the one its weights and children give.  A test aid: it
-        walks the table once and changes nothing.
+        changes nothing.
         """
         vtable = self._vtable
-        for key, ref in vtable.items():
-            node = ref()
-            if node is None:
-                continue
+        uids = [node.uid for node in vtable.values()]
+        if uids != sorted(set(uids)):
+            raise AssertionError("unique-table order is not creation order")
+        for key, node in vtable.items():
             ln = node.low_node
             lw = node.low_weight
             hn = node.high_node
@@ -438,8 +445,7 @@ class Context:
                         f"one level down nor is the zero stub")
                 if w != 0:
                     if target is not TERMINAL:
-                        stored = vtable.get(_node_key(target))
-                        if stored is None or stored() is not target:
+                        if vtable.get(_node_key(target)) is not target:
                             raise AssertionError(
                                 f"{target}, reachable from {node}, is not "
                                 f"stored under its key")
@@ -501,8 +507,9 @@ class StateDD:
     """Handle to a decision diagram representing a ``2**num_qubits`` vector.
 
     The handle holds its root edge, and so keeps alive every node the root
-    reaches; the nodes nothing else holds are freed when the last handle
-    drops them (see the ``dd`` Conventions).
+    reaches; the nodes nothing else holds are freed by the next
+    :meth:`Context.collect_garbage` after the last handle drops them (see
+    the ``dd`` Conventions).
     """
 
     context: Context
@@ -510,8 +517,9 @@ class StateDD:
     num_qubits: int
 
     def release(self) -> None:
-        """Drop this handle's root (it becomes ``None``), so the nodes that
-        only this handle held are freed even while the handle lives on.
+        """Drop this handle's root (it becomes ``None``), so the next
+        :meth:`Context.collect_garbage` frees the nodes that only this handle
+        held, even while the handle lives on.
 
         A released handle prints as released, and reading its state
         (:meth:`amplitude`, :meth:`to_dense`, :meth:`node_count`,

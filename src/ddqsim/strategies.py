@@ -37,8 +37,8 @@ Python's cyclic garbage collector is paused while the gate loop runs and
 restored to its prior state afterwards, by the same helper
 (:func:`ddqsim.dd.collector_paused`) that pauses it in each
 :func:`ddqsim.ops.apply`.  The engine creates no reference cycles, so
-reference counting alone frees what the loop drops, and the collector would
-only re-scan the live diagram again and again.
+reference counting and the unique-table sweep free what the loop drops, and
+the collector would only re-scan the live diagram again and again.
 """
 from __future__ import annotations
 
@@ -51,10 +51,10 @@ from .circuit import Circuit
 from .dd import Context, StateDD, collector_paused
 from .ops import apply, is_monomial
 
-#: Unique-table size that triggers a sweep of its dead entries.  Dead nodes
-#: are already freed; a sweep only reads each entry, and ``_run`` then
-#: raises the trigger to twice the live count, so a low floor keeps few dead
-#: entries at an amortized cost.
+#: Unique-table size that triggers a sweep, which frees the dead nodes the
+#: table still holds.  ``_run`` then raises the trigger to twice the live
+#: count, so dead nodes never outnumber live ones by much, and each sweep's
+#: walk of the table is paid for by the entries added since the last one.
 GC_WATERMARK = 1 << 12
 
 #: Most qubits a window of fused monomial gates may span.  A window's matrix
@@ -277,16 +277,17 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy,
     which ``policy`` may fire, so a window ends at each of them.  The node
     count and ``policy`` are taken once per window, at its end, and the
     count taken there is the one a round's record reports as
-    ``nodes_before``.  Once the unique table holds more than the watermark,
-    :meth:`Context.collect_garbage` sweeps its dead entries, and the
-    watermark becomes twice the live count, or ``GC_WATERMARK`` if more.
+    ``nodes_before``.  Dead nodes stay in the unique table, where a later
+    gate may find them again; once it holds more than the watermark,
+    :meth:`Context.collect_garbage` frees them, and the watermark becomes
+    twice the live count, or ``GC_WATERMARK`` if more.
     Python's cyclic garbage collector is paused for the loop, rounds and
     :meth:`Context.collect_garbage` included, by
     :func:`ddqsim.dd.collector_paused`, which switches it back on afterwards
     only if it was on before, also when the loop raises.  The engine makes
-    no reference cycles (see :mod:`ddqsim.dd`), so reference counting frees
-    everything it drops, and the pause only saves the collector's repeated
-    scans of the live nodes.
+    no reference cycles (see :mod:`ddqsim.dd`), so reference counting and
+    the sweep free everything it drops, and the pause only saves the
+    collector's repeated scans of the live nodes.
     """
     circuit.validate()
     ctx = context if context is not None else Context()

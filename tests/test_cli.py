@@ -164,8 +164,13 @@ def test_qasm_errors_exit_2(tmp_path, capsys):
     assert "line 3" in err
 
 
-@pytest.mark.parametrize("angle", ["1/0", "0^-1", "10^400", "1e308*10",
-                                   "(-8)^(1/3)"])
+@pytest.mark.parametrize("angle", [
+    "1/0", "0^-1", "10^400", "1e308*10", "(-8)^(1/3)",
+    # Nested too deeply: RecursionError in _eval_node, RecursionError in
+    # ast.parse, and MemoryError in ast.parse.
+    pytest.param("-" * 2000 + "1", id="2000 unary minuses"),
+    pytest.param("+".join(["1"] * 5000), id="5000 terms"),
+    pytest.param("-" * 50000 + "1", id="50000 unary minuses")])
 def test_bad_angles_exit_2_without_a_traceback(tmp_path, angle):
     path = tmp_path / "angle.qasm"
     path.write_text(f"OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrz({angle}) q[0];\n")

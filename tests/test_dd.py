@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import weakref
 from itertools import chain
 from pathlib import Path
 
@@ -15,10 +14,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 import ddqsim
 from ddqsim import strategies
 from ddqsim.approx import approximate_round
-from ddqsim.circuit import gen_ghz, gen_shor_period, gen_supremacy
+from ddqsim.circuit import Gate, gen_ghz, gen_shor_period, gen_supremacy
 from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
-                       Context, _cell, _node_key, levels, squared_norm,
-                       subtree_norms)
+                       Context, VNode, _cell, _node_key, collector_paused,
+                       levels, squared_norm, subtree_norms)
 from ddqsim.ops import apply
 from ddqsim.oracle import dense_fidelity, dense_simulate, random_state
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
@@ -203,14 +202,10 @@ def test_zero_edges_are_terminal_stubs():
 
 def test_nodes_hold_their_edges_in_their_own_slots():
     ctx = Context()
-    # The handles keep their diagrams alive while the table is walked.
     states = [simulate_exact(gen_ghz(20), ctx)[0], _random_dd(ctx, 6, seed=5),
               ctx.make_basis_state(5, "01101")]
     zero_edges = 0
-    for ref in list(ctx._vtable.values()):
-        node = ref()
-        if node is None:
-            continue
+    for node in ctx._vtable.values():
         assert not any(isinstance(r, tuple) for r in gc.get_referents(node))
         for view, target, w in ((node.low, node.low_node, node.low_weight),
                                 (node.high, node.high_node, node.high_weight)):
@@ -404,22 +399,30 @@ def test_cached_norms_match_the_reference_walk_after_rounds(monkeypatch):
     assert len(checked) > 10
 
 
-# -- liveness: reference counts free nodes, sweeps drop their entries ------
+# -- liveness: the table holds nodes, sweeps free the dead ones -------------
 
-def test_dropping_the_last_handle_frees_the_diagram_at_once():
-    ctx = Context()
-    state = ctx.from_dense(random_state(5, seed=4))
-    other = ctx.new_state(state.root, state.num_qubits)
-    root = weakref.ref(state.root[0])
-    nodes = [weakref.ref(node) for node in chain.from_iterable(levels(state.root))]
-    size = ctx.unique_table_size()
-    state.release()
-    assert root() is not None
-    del other
-    assert root() is None
-    assert all(ref() is None for ref in nodes)
-    # No collect_garbage call ran: the entries are still there, all dead.
-    assert ctx.unique_table_size() == size == len(nodes)
+def _vnodes() -> int:
+    """Number of ``VNode`` objects alive in the process."""
+    return sum(isinstance(obj, VNode) for obj in gc.get_objects())
+
+
+def test_dropping_the_last_handle_frees_the_diagram_at_the_next_sweep():
+    gc.collect()
+    with collector_paused():
+        ctx = Context()
+        state = ctx.from_dense(random_state(5, seed=4))
+        other = ctx.new_state(state.root, state.num_qubits)
+        size = ctx.unique_table_size()
+        assert size == state.node_count()
+        alive = _vnodes()
+        state.release()
+        del other
+        # Dead but held: the table keeps every node until the sweep.
+        assert _vnodes() == alive
+        assert ctx.unique_table_size() == size
+        assert ctx.collect_garbage() == size
+        assert _vnodes() == alive - size
+        assert ctx.unique_table_size() == 0
 
 
 def test_sweep_returns_the_number_of_dead_entries():
@@ -430,29 +433,50 @@ def test_sweep_returns_the_number_of_dead_entries():
     dead = drop.node_count()
     assert ctx.unique_table_size() == live + dead
     drop.release()
-    assert sum(ref() is None for ref in ctx._vtable.values()) == dead
+    assert ctx.unique_table_size() == live + dead
     assert ctx.collect_garbage() == dead
     assert ctx.unique_table_size() == live
     assert ctx.collect_garbage() == 0
     ctx.check_invariants()
 
 
+def test_a_dead_node_is_found_again_before_the_sweep():
+    ctx = Context()
+    state = ctx.from_dense(random_state(5, seed=6))
+    gate = Gate("H", (2,))
+    first = apply(state, gate)
+    root_uid = first.root[0].uid
+    next_uid = ctx._next_uid
+    first.release()
+    again = apply(state, gate)
+    assert ctx._next_uid == next_uid
+    assert again.root[0].uid == root_uid
+    ctx.check_invariants()
+
+
 def test_dropping_a_deep_chain_does_not_crash():
-    # Freeing a chain frees each node from inside its parent's deallocation,
-    # 200,000 deep.  A crash there would end the interpreter, so the chain
-    # is dropped in a child process.
-    code = ("from ddqsim.dd import Context\n"
+    # A sweep frees a 200,000-deep chain newest first, one node at a time.
+    # Dropping a context frees its chain from inside each parent's
+    # deallocation instead, as deep as the chain.  A crash in either would
+    # end the interpreter, so both run in a child process.
+    code = ("import gc\n"
+            "from ddqsim.dd import Context, VNode\n"
             "ctx = Context()\n"
             "state = ctx.make_basis_state(200000, '0' * 200000)\n"
             "del state\n"
-            "print(ctx.collect_garbage())\n")
+            "print(ctx.collect_garbage())\n"
+            "ctx = Context()\n"
+            "state = ctx.make_basis_state(200000, '1' * 200000)\n"
+            "print(ctx.unique_table_size())\n"
+            "del state, ctx\n"
+            "print(sum(isinstance(o, VNode) for o in gc.get_objects()))\n")
     src = str(Path(ddqsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["200000"]
+    assert done.stdout.split() == ["200000", "200000", "0"]
 
 
 def test_released_handle_prints_as_released_and_refuses_reads():
@@ -599,7 +623,8 @@ def test_memory_driven_rounds_keep_invariants_and_exact_fidelity(seed):
 
 
 @pytest.mark.parametrize("how", ["reachable", "key", "normalized", "phase",
-                                 "non-canonical", "one level down", "norm"])
+                                 "non-canonical", "one level down", "norm",
+                                 "order"])
 def test_check_invariants_detects_corruption(how):
     ctx = Context()
     state = ctx.from_dense(random_state(4, seed=3))
@@ -615,21 +640,25 @@ def test_check_invariants_detects_corruption(how):
         del ctx._vtable[key]
         node.low_weight = node.low_weight * 0.5
         node.high_weight = node.high_weight * 0.5
-        ctx._vtable[_node_key(node)] = weakref.ref(node)
+        ctx._vtable[_node_key(node)] = node
     elif how == "phase":
         # The larger weight keeps magnitude 1 but turns by 0.25 rad.
         del ctx._vtable[key]
         turn = complex(np.exp(0.25j))
         node.low_weight = node.low_weight * turn
         node.high_weight = node.high_weight * turn
-        ctx._vtable[_node_key(node)] = weakref.ref(node)
+        ctx._vtable[_node_key(node)] = node
     elif how == "one level down":
         # Skip a level: the low edge keeps its weight but jumps two down.
         del ctx._vtable[key]
         node.low_node = node.low_node.low_node
-        ctx._vtable[_node_key(node)] = weakref.ref(node)
+        ctx._vtable[_node_key(node)] = node
     elif how == "norm":
         node.norm2 *= 1 + 1e-9
+    elif how == "order":
+        # The oldest entry moves behind the newest.
+        oldest = next(iter(ctx._vtable))
+        ctx._vtable[oldest] = ctx._vtable.pop(oldest)
     else:
         # Move the low weight two cells over in place; its key still names
         # the old cell.
