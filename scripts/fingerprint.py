@@ -25,7 +25,7 @@ so the output still diffs cleanly against checkouts without it.
 
 Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 ``shor_fidelity`` benchmark workload; exact ``gen_supremacy(3, 4, 24, s)``
-for s = 11 and 4243 (70 and 68 sweeps); the 13-qubit QFT round trip; GHZ
+for s = 11 and 4243 (64 and 63 sweeps); the 13-qubit QFT round trip; GHZ
 300; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108 at
 threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
 so that collections run; 10 random 6-qubit 60-gate circuits with a

@@ -43,15 +43,17 @@ def node_contributions(state: StateDD) -> dict[VNode, float]:
 
     The root's contribution is the squared norm of the state (1 for unit
     states); within any single level contributions sum to the same value.
-    One top-down pass over the :func:`levels` buckets flows the prefix
-    masses down and multiplies each by the node's cached ``norm2``.
+    One top-down pass over the :func:`levels` of the root flows the prefix
+    masses down and multiplies each by the node's cached ``norm2``.  A
+    shared node's prefix mass is summed over its parents in the order of
+    their level, which decides near-ties between removal candidates.
     """
     contributions: dict[VNode, float] = {}
     root = state._live_root()
     w = root[1]
     prefix = {root[0]: w.real * w.real + w.imag * w.imag}
-    for bucket in levels(root):
-        for node in bucket:
+    for level in levels(root):
+        for node in level:
             mass = prefix[node]
             contributions[node] = mass * node.norm2
             # A zero edge points at the terminal (see ddqsim.dd).

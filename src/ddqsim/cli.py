@@ -7,8 +7,9 @@ JSON (--stats), as a CSV row (--csv), as a full amplitude dump, or checked
 against a dense simulation (--verify, small circuits only).
 
 Exit codes: 0 success, 1 bad flags or parameters, 2 QASM parse error,
-3 resource guard hit (circuit too large for a requested expansion, or a
-register too deep for recursive gate application).
+3 resource guard hit (circuit too large for a requested expansion, a
+register too deep for recursive gate application, or an allocation the
+system refused).
 """
 from __future__ import annotations
 
@@ -249,8 +250,10 @@ def main(argv=None) -> int:
     except QasmParseError as e:
         print(f"{args.qasm}: {e}", file=sys.stderr)
         return 2
-    except CapacityError as e:
-        print(f"simulate: capacity: {e}", file=sys.stderr)
+    except (CapacityError, MemoryError) as e:
+        # A refused allocation usually carries no message.
+        print(f"simulate: capacity: {str(e) or 'out of memory'}",
+              file=sys.stderr)
         return 3
     except (_UsageError, ValueError, OSError) as e:
         print(f"simulate: error: {e}", file=sys.stderr)

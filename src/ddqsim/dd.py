@@ -37,8 +37,10 @@ Conventions pinned here and relied on by every other module:
   state's norm is a lookup, not a walk.
 * Descent: every nonzero edge of a node leads exactly one level down (a
   level-0 node's to the terminal) and every zero edge is the zero stub, so a
-  node is reached only at its own level.  :meth:`StateDD.node_count` relies on
-  that, and :meth:`Context.check_invariants` checks it.
+  node is reached only at its own level, and the children of one level's
+  nodes are exactly the next level's.  :func:`levels`, the one walk over a
+  whole diagram that counting, dense expansion and the contribution pass
+  share, relies on that, and :meth:`Context.check_invariants` checks it.
 * Weights: a node is stored under the cells of its outgoing weights on a
   grid of cell size ``EPS`` per component (see :func:`_node_key`), so
   sub-vectors whose normalized weights differ only by rounding dust share
@@ -408,7 +410,7 @@ class Context:
         magnitude of at most ``1 + EPS`` up to rounding (checked to
         ``1 + 2 * EPS``); that each nonzero edge leads exactly one level down
         and each zero edge is the zero stub, which
-        :meth:`StateDD.node_count` relies on; that every nonzero child is
+        :func:`levels` relies on; that every nonzero child is
         the node stored under its own key; and that its ``norm2`` is
         bit for bit the one its weights and children give.  A test aid: it
         changes nothing.
@@ -562,41 +564,22 @@ class StateDD:
         return complex(rw * acc)
 
     def to_dense(self) -> np.ndarray:
-        """Expand to the full amplitude vector (guarded above 20 qubits).
+        """Expand to the full amplitude vector of ``2**num_qubits`` entries,
+        all zero for the zero state (guarded above 20 qubits).
 
         Loads numpy, through :func:`_expand` and :func:`_scaled`.
         """
-        node, w = self._live_root()
+        root = self._live_root()
         if self.num_qubits > DENSE_QUBIT_LIMIT:
             raise CapacityError(
                 f"refusing dense expansion of {self.num_qubits} qubits "
                 f"(limit {DENSE_QUBIT_LIMIT})")
-        return _scaled(w, _expand(node, {}))
+        return _expand(root, self.num_qubits)
 
     def node_count(self) -> int:
-        """Number of distinct non-terminal nodes reachable from the root.
-
-        Counts level by level: the nodes one level down are the set of the
-        current level's children, less the terminal that zero edges point
-        at.  No node is counted twice because every nonzero edge leads
-        exactly one level down (see the module's Conventions), and no
-        bucket lists are built, unlike :func:`levels`.
-        """
-        node, w = self._live_root()
-        if w == 0 or node is TERMINAL:
-            return 0
-        count = 0
-        level = {node}
-        while level:
-            count += len(level)
-            below = set()
-            add = below.add
-            for n in level:
-                add(n.low_node)
-                add(n.high_node)
-            below.discard(TERMINAL)
-            level = below
-        return count
+        """Number of distinct non-terminal nodes reachable from the root:
+        the sizes of the :func:`levels` of the root, summed."""
+        return sum(map(len, levels(self._live_root())))
 
     def norm(self) -> float:
         """Euclidean norm of the represented vector."""
@@ -613,28 +596,33 @@ def _check_bits(bits: str, num_qubits: int) -> None:
         raise ValueError(f"expected a bitstring of length {num_qubits}, got {bits!r}")
 
 
-def _expand(node, memo: dict[int, np.ndarray]) -> np.ndarray:
-    """Dense sub-vector of a weight-stripped node; ``memo`` is keyed by id.
+def _expand(root: Edge, num_qubits: int) -> np.ndarray:
+    """Dense vector of ``root`` over ``num_qubits`` qubits.
 
-    Imports numpy; see :meth:`StateDD.to_dense`.
+    Fills each node's weight-stripped sub-vector bottom-up over the
+    :func:`levels` of ``root``: a level's children are all on the level
+    below (see Descent), so only that level's sub-vectors are kept while the
+    next is filled.  The root node's is then scaled by the root weight.  A
+    zero root gives ``2**num_qubits`` zeros.  Imports numpy; see
+    :meth:`StateDD.to_dense`.
     """
     import numpy as np
 
-    if node is TERMINAL:
-        return np.ones(1, dtype=complex)
-    got = memo.get(id(node))
-    if got is None:
-        half = 1 << node.level
-        parts = []
-        for target, w in ((node.low_node, node.low_weight),
-                          (node.high_node, node.high_weight)):
-            if w == 0:
-                parts.append(np.zeros(half, dtype=complex))
-            else:
-                parts.append(_scaled(w, _expand(target, memo)))
-        got = np.concatenate(parts)
-        memo[id(node)] = got
-    return got
+    node, w = root
+    if w == 0:
+        return np.zeros(1 << num_qubits, dtype=complex)
+    below = {TERMINAL: np.ones(1, dtype=complex)}
+    for level in reversed(levels(root)):
+        dense = {}
+        for n in level:
+            half = 1 << n.level
+            dense[n] = np.concatenate([
+                _scaled(cw, below[target]) if cw != 0
+                else np.zeros(half, dtype=complex)
+                for target, cw in ((n.low_node, n.low_weight),
+                                   (n.high_node, n.high_weight))])
+        below = dense
+    return _scaled(w, below[node])
 
 
 def _scaled(w: complex, v: np.ndarray) -> np.ndarray:
@@ -653,36 +641,36 @@ def _scaled(w: complex, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def levels(root: Edge) -> list[list[VNode]]:
-    """Nodes reachable from ``root``, bucketed by level, root level first.
+def levels(root: Edge) -> list[dict[VNode, None]]:
+    """Nodes reachable from ``root``, level by level, root level first.
 
-    Every nonzero edge descends one level, so the buckets in order put
-    parents before children.  Within a bucket, nodes keep the order in which
-    a depth-first walk (low pushed before high, marked when popped) first
-    reaches them: masses over shared nodes are summed in that order, which
-    decides near-ties between removal candidates.
+    A breadth-first level-set walk: each level is an insertion-ordered dict
+    whose keys are that level's nodes (its values are ``None``), in the
+    order the level above first reaches them, each parent's low child before
+    its high child.  Every nonzero edge descends exactly one level (see
+    Descent in the Conventions), so the children of one level are exactly
+    the next level, no node is met at two levels, and the levels in order
+    put parents before children.  The dicts are returned as they are, so
+    counting a level is ``len`` and no copy is made.  Masses over shared
+    nodes are summed in this order, which decides near-ties between removal
+    candidates.
     """
     node, w = root
     if w == 0 or node is TERMINAL:
         return []
-    top = node.level
-    buckets: list[list[VNode]] = [[] for _ in range(top + 1)]
-    seen: set[VNode] = set()
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        buckets[top - node.level].append(node)
-        # A zero edge points at the terminal (see Conventions).
-        child = node.low_node
-        if child is not TERMINAL:
-            stack.append(child)
-        child = node.high_node
-        if child is not TERMINAL:
-            stack.append(child)
-    return buckets
+    level = {node: None}
+    out = [level]
+    while True:
+        below: dict[VNode, None] = {}
+        for node in level:
+            below[node.low_node] = None
+            below[node.high_node] = None
+        # A zero edge points at the terminal, as do level 0's edges.
+        below.pop(TERMINAL, None)
+        if not below:
+            return out
+        out.append(below)
+        level = below
 
 
 def subtree_norms(root: Edge) -> dict[int, float]:
@@ -691,7 +679,7 @@ def subtree_norms(root: Edge) -> dict[int, float]:
     The value excludes the incoming edge weight; the terminal's implicit
     value is 1 and is not part of the map.
     """
-    return {id(node): node.norm2 for bucket in levels(root) for node in bucket}
+    return {id(node): node.norm2 for level in levels(root) for node in level}
 
 
 def squared_norm(root: Edge) -> float:

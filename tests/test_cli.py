@@ -193,6 +193,16 @@ def test_capacity_guard_exit_3(capsys):
     assert "capacity" in err
 
 
+def test_memory_error_exits_3_without_a_traceback(monkeypatch, capsys):
+    def refuse(circuit):
+        raise MemoryError
+    monkeypatch.setattr(ddqsim.cli, "simulate_exact", refuse)
+    code, out, err = run(capsys, "--gen", "ghz", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "simulate: capacity: out of memory\n"
+
+
 def test_no_stats_written_on_failure(tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     path = tmp_path / "bad.qasm"

@@ -15,11 +15,12 @@ import ddqsim
 from ddqsim import strategies
 from ddqsim.approx import approximate_round
 from ddqsim.circuit import Gate, gen_ghz, gen_shor_period, gen_supremacy
-from ddqsim.dd import (EPS, TERMINAL, ZERO, BoundedCache, CapacityError,
+from ddqsim.dd import (EPS, ONE, TERMINAL, ZERO, BoundedCache, CapacityError,
                        Context, VNode, _cell, _node_key, collector_paused,
                        levels, squared_norm, subtree_norms)
 from ddqsim.ops import apply
-from ddqsim.oracle import dense_fidelity, dense_simulate, random_state
+from ddqsim.oracle import (basis_path_nodes, dense_fidelity, dense_simulate,
+                           random_state)
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
                                simulate_exact, simulate_fidelity_driven,
                                simulate_memory_driven)
@@ -156,6 +157,12 @@ def test_dense_lookup_agreement_is_exact():
             assert dense[i] == s.amplitude(bits)
 
 
+def test_zero_state_expands_to_all_zeros():
+    dense = Context().new_state(ZERO, 3).to_dense()
+    assert dense.shape == (8,)
+    assert np.array_equal(dense, np.zeros(8, dtype=complex))
+
+
 def test_to_dense_refuses_past_capacity_guard():
     ctx = Context()
     s = ctx.make_basis_state(21, "0" * 21)
@@ -253,8 +260,10 @@ _AMPLITUDE = st.sampled_from((0j, 1 + 0j, -1 + 0j, 1j, 0.5 + 0j, 0.6 - 0.8j))
     lambda n: st.lists(_AMPLITUDE, min_size=1 << n, max_size=1 << n)))
 @example(amplitudes=[0j, 0j, 0j, 0j])   # zero root
 @example(amplitudes=[0.6 + 0j, 0.8j])   # one-qubit state
-def test_node_count_matches_levels(amplitudes):
+def test_node_count_matches_basis_paths(amplitudes):
     # Few distinct amplitudes, so equal and proportional halves are common.
+    # The reference never walks the diagram as a whole: it follows one basis
+    # state's path at a time, and every reachable node lies on one.
     ctx = Context()
     v = np.array(amplitudes, dtype=complex)
     norm = np.linalg.norm(v)
@@ -262,7 +271,27 @@ def test_node_count_matches_levels(amplitudes):
         state = ctx.new_state(ZERO, len(v).bit_length() - 1)
     else:
         state = ctx.from_dense(v / norm)
-    assert state.node_count() == sum(map(len, levels(state.root)))
+    on_paths = set()
+    for index in range(len(v)):
+        on_paths.update(basis_path_nodes(state, index))
+    assert state.node_count() == len(on_paths)
+
+
+def test_levels_are_breadth_first_low_before_high():
+    # Level 0 is reached as x, y (from a) and then z (from b); a depth-first
+    # walk that pops each high child before its low sibling meets z, y, x.
+    ctx = Context()
+    x = ctx.make_vnode(0, ONE, ZERO)
+    y = ctx.make_vnode(0, ONE, ONE)
+    z = ctx.make_vnode(0, ZERO, ONE)
+    a = ctx.make_vnode(1, x, y)
+    b = ctx.make_vnode(1, y, z)
+    root = ctx.make_vnode(2, a, b)
+    assert [list(level) for level in levels(root)] == \
+        [[root[0]], [a[0], b[0]], [x[0], y[0], z[0]]]
+    # A node reached by both edges of its parent is listed once.
+    twin = ctx.make_vnode(1, z, z)
+    assert [list(level) for level in levels(twin)] == [[twin[0]], [z[0]]]
 
 
 # Amplitudes whose ratios are short decimals: those lie at least a quarter

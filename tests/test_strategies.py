@@ -270,7 +270,9 @@ def test_memory_config_validation():
 # (after_gate, nodes_before, nodes_after, round_fidelity) of every round of
 # gen_supremacy(3, 4, 6, 100) at threshold 500 and f_round 0.99.  Near-tie
 # victims depend on the order in which prefix masses of shared nodes are
-# summed, so any change to the contribution walk shows up here.
+# summed, but no victim of this run sits on such a near-tie, so a change to
+# the order of the contribution walk can leave these records intact.  The
+# memory-driven records of scripts/fingerprint.py are the check for that.
 GRID_ROUNDS = [
     (65, 529, 525, 0.9908470869120796),
     (66, 554, 526, 0.9907625372180838),
