@@ -26,7 +26,9 @@ so the output still diffs cleanly against checkouts without it.
 Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 ``shor_fidelity`` benchmark workload; exact ``gen_supremacy(3, 4, 24, s)``
 for s = 11 and 4243 (64 and 63 sweeps); the 13-qubit QFT round trip; GHZ
-300; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108 at
+300 and GHZ 40; exact ``gen_supremacy(3, 4, 16, s)`` for s = 5 and 6 with
+every sqrt(Y) replaced by T, so that long runs of CZ and T gates fuse into
+windows of several blocks, as GHZ 40's CX chain does; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108 at
 threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
 so that collections run; 10 random 6-qubit 60-gate circuits with a
 garbage collection after every gate; and 10 random 6-qubit 120-gate
@@ -159,6 +161,19 @@ def main() -> None:
     ctx, reclaimed = counted_context()
     state, stats = strategies.simulate_exact(gen_ghz(300), ctx)
     emit("ghz_300", state, ctx, reclaimed, stats)
+
+    ctx, reclaimed = counted_context()
+    state, stats = strategies.simulate_exact(gen_ghz(40), ctx)
+    emit("ghz_40", state, ctx, reclaimed, stats)
+
+    for seed in (5, 6):
+        grid = gen_supremacy(3, 4, 16, seed)
+        czt = Circuit(grid.num_qubits,
+                      [Gate("T", g.targets) if g.kind == "SQRTY" else g
+                       for g in grid.ops], name=f"grid_czt_{seed}")
+        ctx, reclaimed = counted_context()
+        state, stats = strategies.simulate_exact(czt, ctx)
+        emit(f"grid_czt_exact_s{seed}", state, ctx, reclaimed, stats)
 
     watermark = strategies.GC_WATERMARK
     strategies.GC_WATERMARK = 3000

@@ -72,10 +72,10 @@ STATS_SCHEMA = {
             "type": "array", "items": {"type": "integer"},
             "description": "node count at the end of each window of gates "
                            "applied in one pass, after any round fired "
-                           "there; exact and fidelity modes fuse runs of "
-                           "monomial gates spanning at most four qubits, so "
-                           "a peak inside a window is not seen, and memory "
-                           "mode counts after every gate"},
+                           "there; exact and fidelity modes fuse runs of up "
+                           "to 32 monomial gates, so a peak inside a window "
+                           "is not seen, and memory mode counts after every "
+                           "gate"},
         "trace_after_gate": {
             "type": "array", "items": {"type": "integer", "minimum": 1},
             "description": "for each node_trace entry, the number of gates "

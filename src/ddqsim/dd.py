@@ -374,23 +374,31 @@ class Context:
 
         The table is in creation order (an entry is never replaced) and a
         node is made after its children, so a walk newest first meets every
-        parent before its children.  It deletes each entry whose node
-        nothing else holds (``sys.getrefcount`` 2 on CPython 3.10-3.12: the
-        table's reference and the call's), which frees the node and its hold
-        on its children, so one pass frees a whole dead diagram without
-        recursion.  The live entries are then copied, in order, into a fresh
-        dict that returns the memory the dead ones held; live nodes keep
-        their weights and their keys.  ``gate_dds`` is cleared too and
-        rebuilt on demand, so a long run of distinct parametric gates cannot
-        grow it without bound.
+        parent before its children.  The walk reads snapshots of the
+        table's keys and nodes, so it never looks a key up; it drops the
+        snapshot's hold on each node as it reaches it, and deletes each
+        entry whose node nothing else holds (``sys.getrefcount`` 3 on
+        CPython 3.10-3.12: the table's reference, the walk's and the
+        call's).  The node is freed, with its hold on its children, when the
+        walk moves on, before it reaches them, so one pass frees a whole
+        dead diagram without recursion.  The live entries are then copied,
+        in order, into a fresh dict that returns the memory the dead ones
+        held; live nodes keep their weights and their keys.  ``gate_dds``
+        is cleared too and rebuilt on demand, so a long run of distinct
+        parametric gates cannot grow it without bound.
         """
         self.gate_dds.clear()
-        keys = list(self._vtable)
-        for key in reversed(keys):
-            if sys.getrefcount(self._vtable[key]) == 2:
-                del self._vtable[key]
-        self._vtable = dict(self._vtable)
-        return len(keys) - len(self._vtable)
+        vtable = self._vtable
+        before = len(vtable)
+        keys = list(vtable)
+        nodes = list(vtable.values())
+        for i in range(before - 1, -1, -1):
+            node = nodes[i]
+            nodes[i] = None
+            if sys.getrefcount(node) == 3:
+                del vtable[keys[i]]
+        self._vtable = dict(vtable)
+        return before - len(self._vtable)
 
     def unique_table_size(self) -> int:
         """Number of unique-table entries, dead nodes included until the

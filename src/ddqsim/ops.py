@@ -1,18 +1,22 @@
 """Gate application and inner products on decision diagrams.
 
-A window of gates, one gate or many, becomes one matrix diagram over only
+A block of gates, one gate or many, becomes one matrix diagram over only
 the qubits it touches; levels it never mentions are skipped entirely
-(applying it treats them as identity on the fly).  Every window takes one
+(applying it treats them as identity on the fly).  Every block takes one
 path: each gate's columns over the touched qubits are its
 :func:`~ddqsim.circuit.gate_entries` with controls folded in as diagonal
-blocks, so plain, controlled and permutation gates are alike; the window's
-columns start as its first gate's and are composed gate after gate
-(combined-operation simulation, as in Zulehner & Wille, "Advanced
-Simulation of Quantum Computations", IEEE TCAD 2019); and the product,
-flattened to a sparse ``(row, col) -> weight`` map, is built into a
-diagram and applied in one pass over the state.  The drivers in
-:mod:`ddqsim.strategies` fuse only runs of monomial gates (see
-:func:`is_monomial`), whose composed matrix stays one weighted permutation.
+blocks, so plain, controlled and permutation gates are alike; the block's
+columns start as its first gate's and are composed gate after gate; and
+the product, flattened to a sparse ``(row, col) -> weight`` map, is built
+into a diagram.  A block spans at most ``FUSION_SPAN`` qubits, since its
+matrix is built from ``2**span`` columns.  :func:`apply` splits a window of
+gates into such blocks and applies them all in one pass over the state:
+the levels above the window's highest touched qubit are rebuilt once, and
+at each node on that level the blocks act in order (combined-operation
+simulation, as in Zulehner & Wille, "Advanced Simulation of Quantum
+Computations", IEEE TCAD 2019).  The drivers in :mod:`ddqsim.strategies`
+fuse only runs of monomial gates (see :func:`is_monomial`), whose composed
+matrices stay weighted permutations.
 A block that is the identity on every touched qubit below it is the
 terminal itself, so the recursion ends there and the control-0 halves of
 controlled gates and permutations hand the vector sub-diagram back
@@ -27,7 +31,9 @@ Matrix-vector products and sums are memoized per operation: :func:`apply`
 builds two fresh dicts for each pass, passes them down the recursion and
 drops them when it returns.  Entries are keyed by the node objects, which is
 sound because nodes are hash-consed and a memo holds every node it names
-alive until the pass is done.  A sum of two edges into the same node is
+alive until the pass is done.  One pair serves every block of a pass: a
+product's key names its matrix node, which belongs to one block's diagram,
+and a sum's key names its operands.  A sum of two edges into the same node is
 that node with the summed weight; it builds nothing, where adding the two
 node by node would walk the whole shared subtree only to find the same
 node.  Other addition memos are keyed on the weight ratio of the operands,
@@ -43,6 +49,16 @@ from .circuit import Gate, gate_entries
 from .dd import (EPS, ONE, TERMINAL, ZERO, CapacityError, Context, Edge,
                  StateDD, collector_paused)
 
+#: Most qubits one block of a window may span.  A block's matrix diagram is
+#: built from ``2**span`` columns, so a wider span saves passes over the
+#: state but costs more per block.  Measured when each block was a window of
+#: its own, with a pass of its own, CPU seconds on a 2-vCPU Xeon VM, best to
+#: worst of three: GHZ 500 took 0.96-1.16 unfused, 0.53-0.66 at span 3,
+#: 0.38-0.46 at 4, 0.37-0.38 at 6 and 0.65-0.66 at 8; the 13-qubit QFT
+#: round trip, whose windows are short and mostly distinct, took
+#: 0.024-0.027, 0.026-0.028, 0.036, 0.064 and 0.17.
+FUSION_SPAN = 4
+
 
 class MNode:
     """Matrix-diagram node: four successors ordered (row bit, column bit)."""
@@ -55,6 +71,21 @@ class MNode:
 
     def __repr__(self) -> str:
         return f"<m{self.level}>"
+
+
+class Blocks:
+    """The matrix roots of a window's blocks, applied in order at each node
+    on ``level``, the highest level any of them touches.
+
+    :func:`_mv` takes it where it takes a matrix node: it maps the levels
+    above ``level`` through as untouched, once for all blocks.
+    """
+
+    __slots__ = ("level", "roots")
+
+    def __init__(self, roots: list):
+        self.level = max(m.level for m in roots)
+        self.roots = roots
 
 
 def gate_dd(ctx: Context, *gates: Gate) -> Edge:
@@ -86,6 +117,24 @@ def is_monomial(gate: Gate) -> bool:
     entries = gate_entries(gate)
     return len({col for _, col in entries}) == len(entries) == \
         1 << len(gate.targets)
+
+
+def _blocks(gates):
+    """Split ``gates`` greedily into the blocks that :func:`apply` builds
+    one matrix diagram each for: runs of consecutive gates whose qubits
+    together span at most ``FUSION_SPAN``.  A gate wider than that is a
+    block of its own."""
+    block: list = []
+    span: set = set()
+    for gate in gates:
+        qubits = set(gate.qubits())
+        if block and len(span | qubits) > FUSION_SPAN:
+            yield tuple(block)
+            block, span = [], set()
+        block.append(gate)
+        span |= qubits
+    if block:
+        yield tuple(block)
 
 
 def _build_block(ctx: Context, touched: list[int], memo: dict, sub: dict,
@@ -200,12 +249,16 @@ def apply(state: StateDD, *gates: Gate) -> StateDD:
     """Apply ``gates`` in order and return the new state (the input is left
     intact).
 
-    The gates act as one matrix diagram from :func:`gate_dd`, in one pass
-    over the state.  Several gates give the same state as one at a time up
-    to rounding, as their weights multiply in another order.  Python's
-    cyclic garbage collector is paused while the gates run (see
-    :func:`ddqsim.dd.collector_paused`): a pass builds many nodes, and each
-    collection would re-scan the whole live diagram.
+    The gates split into blocks (see :func:`_blocks`), each one matrix
+    diagram from :func:`gate_dd`, and all blocks act in one pass over the
+    state: the levels above the highest qubit they touch are walked once,
+    and at each node on that level the blocks act in order.  Blocks that
+    are the identity on every qubit they touch are skipped.  Several gates
+    give the same state as one at a time up to rounding, as their weights
+    multiply in another order.  Python's cyclic garbage collector is paused
+    while the gates run (see :func:`ddqsim.dd.collector_paused`): a pass
+    builds many nodes, and each collection would re-scan the whole live
+    diagram.
     """
     if not gates:
         raise ValueError("apply needs at least one gate")
@@ -219,13 +272,20 @@ def apply(state: StateDD, *gates: Gate) -> StateDD:
                 f"gate {gate.kind} addresses a qubit outside the register")
     root, rw = state._live_root()
     with collector_paused():
-        mroot, mw = gate_dd(ctx, *gates)
-        if mroot is TERMINAL:
+        roots = []
+        mw = 1.0
+        for block in _blocks(gates):
+            mroot, bw = gate_dd(ctx, *block)
+            if mroot is not TERMINAL:
+                roots.append(mroot)
+                mw *= bw
+        if not roots:
             # The gates are the identity on every qubit they touch.
             out, ow = root, 1.0
         else:
+            m = roots[0] if len(roots) == 1 else Blocks(roots)
             try:
-                out, ow = _mv(ctx, mroot, root, {}, {})
+                out, ow = _mv(ctx, m, root, {}, {})
             except RecursionError as e:
                 # _mv recurses once per level above the lowest touched qubit.
                 raise CapacityError(
@@ -243,10 +303,12 @@ def _mv(ctx: Context, m, v, memo: dict, add_memo: dict) -> Edge:
     """Product of a matrix node and a vector node, both weight-stripped.
 
     ``memo`` holds the products and ``add_memo`` the sums (see :func:`_add`)
-    already computed for the current gate.  A matrix edge into the terminal
+    already computed in the current pass.  A matrix edge into the terminal
     is an identity block, so it maps its vector child straight to
     ``(child, weight)`` without a call; ``m`` itself is never the terminal
-    (:func:`apply` handles an identity gate).  The branches are unrolled by
+    (:func:`apply` skips identity blocks).  ``m`` may also be a
+    :class:`Blocks`, whose matrix roots act in order on each node on its
+    level, their weights left to the caller.  The branches are unrolled by
     hand: this function dominates simulation time, so it avoids loops and
     intermediate sequences on purpose.
     """
@@ -268,6 +330,19 @@ def _mv(ctx: Context, m, v, memo: dict, add_memo: dict) -> Edge:
         else:
             sub, sw = _mv(ctx, m, v.high_node, memo, add_memo)
             high = (sub, w * sw)
+    elif m.__class__ is Blocks:
+        # Each block acts on the one before's result; a block below this
+        # level descends to its own top through the branch above.
+        roots = m.roots
+        out = _mv(ctx, roots[0], v, memo, add_memo)
+        for mb in roots[1:]:
+            sub, w = out
+            if w == 0:
+                break
+            sub, sw = _mv(ctx, mb, sub, memo, add_memo)
+            out = (sub, w * sw)
+        memo[key] = out
+        return out
     else:
         e00, e01, e10, e11 = m.edges
         vl = v.low_node

@@ -89,7 +89,7 @@ def basis_path_nodes(state: StateDD, index: int) -> list:
     reported, since that path's (zero) amplitude is routed through them.
     """
     nodes = []
-    node, w = state.root
+    node, w = state._live_root()
     if w == 0:
         return nodes
     for level in range(state.num_qubits - 1, -1, -1):

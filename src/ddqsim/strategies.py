@@ -22,10 +22,13 @@ can fall below it.  ``gen_supremacy(3, 4, 8, 32)`` at threshold 500 and
 ``f_round`` 0.99 reports 0.83126 and realizes 0.81887.
 
 The gate list runs in windows.  A run of consecutive monomial gates (one
-nonzero per column; see :func:`ddqsim.ops.is_monomial`) that spans at most
-``FUSION_SPAN`` qubits, up to ``FUSION_GATES`` of them, is applied as one
-gate: one matrix diagram, one pass over the state and one node count.  A
-window ends before any other gate, which runs alone, and after every
+nonzero per column; see :func:`ddqsim.ops.is_monomial`), up to
+``FUSION_GATES`` of them, is applied in one :func:`ddqsim.ops.apply` pass
+over the state, with one node count.  The pass splits the window into
+blocks of at most ``ddqsim.ops.FUSION_SPAN`` qubits, one matrix diagram
+each, rebuilds the levels above the window's highest qubit once and
+applies the blocks in order at each node on that level.  A window ends
+before any other gate, which runs alone, and after every
 position where a round may fire: after every gate in memory-driven runs,
 which therefore never fuse, and at the planned or marker positions in
 fidelity-driven runs, so the round fidelities keep their meaning.
@@ -57,26 +60,20 @@ from .ops import apply, is_monomial
 #: walk of the table is paid for by the entries added since the last one.
 GC_WATERMARK = 1 << 12
 
-#: Most qubits a window of fused monomial gates may span.  A window's matrix
-#: diagram is built from ``2**span`` columns, so a wider span saves passes
-#: over the state but costs more per window.  CPU seconds on a 2-vCPU Xeon
-#: VM, best to worst of three: GHZ 500 took 0.96-1.16 unfused, 0.53-0.66 at
-#: span 3, 0.38-0.46 at 4, 0.37-0.38 at 6 and 0.65-0.66 at 8; the 13-qubit
-#: QFT round trip, whose windows are short and mostly distinct, took
-#: 0.024-0.027, 0.026-0.028, 0.036, 0.064 and 0.17.
-FUSION_SPAN = 4
-
-#: Most gates a window of fused monomial gates may hold.  Each column of a
-#: window's matrix multiplies one weight per gate on its own, so columns
-#: whose ratios are equal in exact arithmetic drift apart by rounding that
-#: grows with the window, and a product state splits where they straddle a
-#: weight cell.  Over 40 seeded chains of an H on each of 4 qubits then
-#: 4,000 RZ, the final state split on 10 without a limit and on 0-2 with 4
-#: to 128; 3 % of window ends split transiently at 32.  A shorter window
-#: costs passes: 2,000 RZ on the bottom 4 qubits of GHZ 200 took 1.6-2.1
-#: CPU s unfused, 0.39-0.57 at 8, 0.24-0.30 at 16, 0.16-0.17 at 32,
-#: 0.13-0.14 at 64 and 0.10-0.11 without a limit (2-vCPU Xeon VM).  No
-#: window of the benchmark's circuits holds more than four gates.
+#: Most gates a window of fused monomial gates may hold; nothing else bounds
+#: its length or its span.  A window's pass rebuilds the levels above its
+#: highest qubit once, but each block still rebuilds the levels between there
+#: and its own top, so a long window over a chain of qubits costs nodes again:
+#: exact GHZ 500 created 17,369 nodes at 8, 10,518 at 16, 7,550 at 32, 8,222 at
+#: 64, 12,286 at 128 and 42,750 in two windows without a limit, and took
+#: 0.070-0.120 CPU s at 16, 0.053-0.068 at 32 and 0.054-0.106 at 64 (best to
+#: worst of 20, 2-vCPU VM).  Within a block, each column of its matrix
+#: multiplies one weight per gate on its own, so columns whose ratios are equal
+#: in exact arithmetic drift apart by rounding that grows with the block, and a
+#: product state splits where they straddle a weight cell.  Over 40 seeded
+#: chains of an H on each of 4 qubits then 4,000 RZ, one block per window, the
+#: final state split on 10 without a limit and on 0-2 with 4 to 128; 3 % of
+#: window ends split transiently at 32.
 FUSION_GATES = 32
 
 
@@ -240,30 +237,25 @@ def _windows(gates, stops):
     """Split ``gates`` into the windows that :func:`_run` applies as one.
 
     A window is a run of consecutive monomial gates (see
-    :func:`ddqsim.ops.is_monomial`) that spans at most ``FUSION_SPAN``
-    qubits and holds at most ``FUSION_GATES`` gates; any other gate, and a
-    monomial gate wider than the span, is a window of its own.  A window
-    also ends after every gate count in ``stops``, and a gate that would
-    open a window ending there is not classified at all.
+    :func:`ddqsim.ops.is_monomial`) that holds at most ``FUSION_GATES``
+    gates; any other gate is a window of its own.  A window also ends after
+    every gate count in ``stops``, and a gate that would open a window
+    ending there is not classified at all.
     """
     window: list = []
-    span: set = set()
     for done, gate in enumerate(gates, 1):
         if not window and done in stops:
             # The gate is a window of its own whatever its kind.
             yield [gate]
             continue
-        qubits = set(gate.qubits())
         fusable = is_monomial(gate)
-        if window and (not fusable or len(window) == FUSION_GATES
-                       or len(span | qubits) > FUSION_SPAN):
+        if window and (not fusable or len(window) == FUSION_GATES):
             yield window
-            window, span = [], set()
+            window = []
         window.append(gate)
-        span |= qubits
         if not fusable or done in stops:
             yield window
-            window, span = [], set()
+            window = []
     if window:
         yield window
 

@@ -66,8 +66,8 @@ def test_stats_json_matches_schema(tmp_path, capsys):
 
 
 def test_stats_json_trace_after_gate(tmp_path, capsys):
-    # Exact mode fuses GHZ 8's CX ladder into windows; memory mode counts
-    # after every gate.
+    # Exact mode fuses GHZ 8's CX ladder into one window after the H;
+    # memory mode counts after every gate.
     for mode, extra in (("exact", []), ("memory", ["--threshold", "1000"])):
         stats_path = tmp_path / f"{mode}.json"
         code, _, _ = run(capsys, "--gen", "ghz", "8", "--mode", mode, *extra,
@@ -80,7 +80,7 @@ def test_stats_json_trace_after_gate(tmp_path, capsys):
         assert after[-1] == payload["num_gates"] == 8
         assert payload["final_dd_size"] == 15
         if mode == "exact":
-            assert after == [1, 4, 7, 8]
+            assert after == [1, 8]
         else:
             assert after == list(range(1, 9))
 

@@ -5,12 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from ddqsim import approx, strategies
+from ddqsim import approx, oracle, strategies
 from ddqsim.circuit import (Circuit, Gate, gate_entries, gen_ghz,
                             gen_shor_period)
 from ddqsim.dd import TERMINAL, Context
-from ddqsim.ops import (_composed_entries, _folded_columns, apply, fidelity,
-                        gate_dd, inner_product, is_monomial)
+from ddqsim.ops import (FUSION_SPAN, _blocks, _composed_entries,
+                        _folded_columns, apply, fidelity, gate_dd,
+                        inner_product, is_monomial)
 from ddqsim.oracle import _apply_dense, dense_simulate, random_state
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
                                even_positions, plan_rounds, simulate_exact,
@@ -92,6 +93,46 @@ def test_fused_apply_matches_gate_by_gate_and_oracle(seed):
         vec = want
 
 
+def random_wide_monomial_run(rng: random.Random, n: int) -> list:
+    """A seeded run of 8-24 monomial gates on ``n`` qubits: CX, CZ, T, S,
+    RZ and SWAP on random qubits, and one PERMUTATION on 5 targets."""
+    run = []
+    for _ in range(rng.randint(8, 24)):
+        kind = rng.choice(("CX", "CZ", "T", "S", "RZ", "SWAP"))
+        if kind in ("CX", "CZ"):
+            c, t = rng.sample(range(n), 2)
+            run.append(Gate(kind[1], (t,), controls=(c,)))
+        elif kind == "SWAP":
+            run.append(Gate("SWAP", tuple(sorted(rng.sample(range(n), 2)))))
+        else:
+            angle = rng.uniform(-math.pi, math.pi) if kind == "RZ" else None
+            run.append(Gate(kind, (rng.randrange(n),), angle=angle))
+    table = list(range(1 << 5))
+    rng.shuffle(table)
+    wide = Gate("PERMUTATION", tuple(sorted(rng.sample(range(n), 5))),
+                table=tuple(table))
+    run.insert(rng.randrange(len(run) + 1), wide)
+    return run
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_blocks_in_one_pass_match_gate_by_gate_and_oracle(seed):
+    # Monomial runs wider than FUSION_SPAN split into several blocks, which
+    # one apply pass applies in order at each node on the top level.
+    rng = random.Random(1000 + seed)
+    n = rng.randint(6, 10)
+    run = random_wide_monomial_run(rng, n)
+    assert len({q for gate in run for q in gate.qubits()}) > FUSION_SPAN
+    assert len(list(_blocks(run))) > 1
+    vec = random_state(n, seed)
+    ctx = Context()
+    fused = apply(ctx.from_dense(vec), *run).to_dense()
+    single = apply_one_by_one(ctx.from_dense(vec), run).to_dense()
+    assert np.abs(fused - single).max() <= 1e-12
+    assert np.abs(fused - dense_run(vec, run, n)).max() <= 1e-12
+    ctx.check_invariants()
+
+
 def test_fused_apply_of_dense_gates_matches_gate_by_gate():
     # apply accepts any gates; a dense run multiplies full columns.
     n = 5
@@ -169,12 +210,27 @@ def windows(gates, stops=()):
     return [len(w) for w in strategies._windows(gates, stops)]
 
 
-def test_windows_end_at_dense_gates_wide_spans_and_stops():
+def blocks(gates):
+    return [len(b) for b in _blocks(gates)]
+
+
+def test_blocks_span_at_most_fusion_span_qubits():
     cx = [Gate("X", (q - 1,), controls=(q,)) for q in range(6, 0, -1)]
-    assert windows(cx) == [3, 3]          # {6..3}, then {3..0}
-    assert windows(cx, stops={2}) == [2, 3, 1]
+    assert FUSION_SPAN == 4
+    assert blocks(cx) == [3, 3]           # {6..3}, then {3..0}
+    # Dense gates split only by span, and a wider gate is a block alone.
+    assert blocks([Gate("H", (q,)) for q in range(6)]) == [4, 2]
+    wide = Gate("PERMUTATION", tuple(range(5)), table=tuple(range(32)))
+    assert blocks([Gate("T", (0,)), wide, Gate("Z", (1,))]) == [1, 1, 1]
+
+
+def test_windows_end_at_dense_gates_and_stops_only():
+    # Span does not end a window: apply splits it into blocks instead.
+    cx = [Gate("X", (q - 1,), controls=(q,)) for q in range(6, 0, -1)]
+    assert windows(cx) == [6]
+    assert windows(cx, stops={2}) == [2, 4]
     assert windows([Gate("H", (0,))] + cx[:2] + [Gate("H", (5,))] + cx[2:]) == \
-        [1, 2, 1, 3, 1]
+        [1, 2, 1, 4]
     assert windows(cx, stops=range(1, 7)) == [1] * 6
 
 
@@ -201,11 +257,23 @@ def test_wide_permutation_runs_alone():
     wide = Gate("PERMUTATION", tuple(range(7)), table=tuple(table))
     assert is_monomial(wide)
     gates = [Gate("T", (0,)), wide, Gate("Z", (1,)), Gate("S", (2,))]
-    assert windows(gates) == [1, 1, 2]
+    # One window, whose pass applies the wide gate as a block of its own.
+    assert windows(gates) == [4]
+    assert blocks(gates) == [1, 1, 2]
     circ = Circuit(8, [Gate("H", (q,)) for q in range(3)] + gates)
     state, stats = simulate_exact(circ)
-    assert stats.trace_after_gate == [1, 2, 3, 4, 5, 7]
+    assert stats.trace_after_gate == [1, 2, 3, 7]
     assert np.abs(state.to_dense() - dense_simulate(circ)).max() <= 1e-12
+
+
+def test_ghz_500_runs_in_17_windows_of_shared_passes():
+    # The H, then the 499 CX gates in windows of FUSION_GATES: each window
+    # rebuilds the levels above it once, not once per block.
+    ctx = Context()
+    _, stats = simulate_exact(gen_ghz(500), ctx)
+    assert len(stats.node_trace) == 17
+    assert stats.final_dd_size == stats.max_dd_size == 999
+    assert ctx._next_uid - 1 < 10_000
 
 
 def assert_trace_is_per_window(stats):
@@ -267,8 +335,9 @@ def _released():
     approx.node_contributions,
     lambda s: approx.remove_nodes(s, []),
     lambda s: approx.approximate_round(s, 0.9),
+    lambda s: oracle.basis_path_nodes(s, 0),
 ], ids=["apply", "inner_product", "fidelity", "node_contributions",
-        "remove_nodes", "approximate_round"])
+        "remove_nodes", "approximate_round", "basis_path_nodes"])
 def test_released_handle_is_refused_by_ops_and_approx(call):
     with pytest.raises(ValueError, match="released"):
         call(_released())

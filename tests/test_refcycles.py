@@ -100,9 +100,9 @@ def test_run_restores_collector_state(enabled):
         else:
             gc.disable()
         strategies._run(gen_ghz(5), None, "exact", policy)
-        # One call per window: the H, then CX 4->3, 3->2 and 2->1 fused over
-        # four qubits, then CX 1->0.
-        assert seen == [False] * 3
+        # One call per window: the H, then the four CX gates fused into one
+        # window of two blocks.
+        assert seen == [False] * 2
         assert gc.isenabled() is enabled
     finally:
         if was_enabled:

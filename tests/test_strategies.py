@@ -100,9 +100,9 @@ def test_exact_matches_oracle_and_reports_stats():
     assert stats.fidelity_lower_bound == 1.0
     assert stats.num_gates == 40
     # One trace entry per window of fused monomial gates.
-    assert stats.trace_after_gate == [1, 2, 3, 7, 10, 11, 12, 13, 19, 20, 21,
-                                      22, 23, 26, 27, 32, 36, 37, 40]
-    assert len(stats.node_trace) == 19
+    assert stats.trace_after_gate == [1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23,
+                                      26, 27, 36, 37, 40]
+    assert len(stats.node_trace) == 16
     assert stats.max_dd_size == max(stats.node_trace)
     assert stats.final_dd_size == stats.node_trace[-1]
     assert stats.wall_time_seconds > 0
