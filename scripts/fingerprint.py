@@ -28,7 +28,10 @@ Corpus (about 15 s): the six fidelity-driven period-finding runs of the
 for s = 11 and 4243 (64 and 63 sweeps); the 13-qubit QFT round trip; GHZ
 300 and GHZ 40; exact ``gen_supremacy(3, 4, 16, s)`` for s = 5 and 6 with
 every sqrt(Y) replaced by T, so that long runs of CZ and T gates fuse into
-windows of several blocks, as GHZ 40's CX chain does; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108 at
+windows of several blocks, as GHZ 40's CX chain does; exact
+``cx_up_down_16``, an H on every third of 16 qubits, then a CX chain up the
+register, a T on the top qubit and the chain back down, one window whose
+block tops rise and then fall; memory-driven ``gen_supremacy(3, 4, 6, s)`` for s = 100..108 at
 threshold 100 and ``f_round`` 0.99 and 0.95, with ``GC_WATERMARK`` 3000
 so that collections run; 10 random 6-qubit 60-gate circuits with a
 garbage collection after every gate; and 10 random 6-qubit 120-gate
@@ -174,6 +177,15 @@ def main() -> None:
         ctx, reclaimed = counted_context()
         state, stats = strategies.simulate_exact(czt, ctx)
         emit(f"grid_czt_exact_s{seed}", state, ctx, reclaimed, stats)
+
+    n = 16
+    up = [Gate("X", (q + 1,), controls=(q,)) for q in range(n - 1)]
+    ops = [Gate("H", (q,)) for q in range(0, n, 3)]
+    ops += up + [Gate("T", (n - 1,))] + up[::-1]
+    ctx, reclaimed = counted_context()
+    state, stats = strategies.simulate_exact(
+        Circuit(n, ops, name="cx_up_down"), ctx)
+    emit(f"cx_up_down_{n}", state, ctx, reclaimed, stats)
 
     watermark = strategies.GC_WATERMARK
     strategies.GC_WATERMARK = 3000

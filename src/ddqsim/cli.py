@@ -71,11 +71,11 @@ STATS_SCHEMA = {
         "node_trace": {
             "type": "array", "items": {"type": "integer"},
             "description": "node count at the end of each window of gates "
-                           "applied in one pass, after any round fired "
-                           "there; exact and fidelity modes fuse runs of up "
-                           "to 32 monomial gates, so a peak inside a window "
-                           "is not seen, and memory mode counts after every "
-                           "gate"},
+                           "applied in one descent, after any round fired "
+                           "there; exact and fidelity modes fuse runs of "
+                           "monomial gates into windows of up to 32 blocks, "
+                           "so a peak inside a window is not seen, and "
+                           "memory mode counts after every gate"},
         "trace_after_gate": {
             "type": "array", "items": {"type": "integer", "minimum": 1},
             "description": "for each node_trace entry, the number of gates "

@@ -22,13 +22,14 @@ can fall below it.  ``gen_supremacy(3, 4, 8, 32)`` at threshold 500 and
 ``f_round`` 0.99 reports 0.83126 and realizes 0.81887.
 
 The gate list runs in windows.  A run of consecutive monomial gates (one
-nonzero per column; see :func:`ddqsim.ops.is_monomial`), up to
-``FUSION_GATES`` of them, is applied in one :func:`ddqsim.ops.apply` pass
-over the state, with one node count.  The pass splits the window into
-blocks of at most ``ddqsim.ops.FUSION_SPAN`` qubits, one matrix diagram
-each, rebuilds the levels above the window's highest qubit once and
-applies the blocks in order at each node on that level.  A window ends
-before any other gate, which runs alone, and after every
+nonzero per column; see :func:`ddqsim.ops.is_monomial`) is applied in one
+:func:`ddqsim.ops.apply` call, with one node count.  The call splits the
+window into blocks of at most ``ddqsim.ops.FUSION_SPAN`` qubits and
+``ddqsim.ops.FUSION_GATES`` gates, one matrix diagram each, and applies
+them in one descent over the state, each block handing its sub-results to
+the next at the highest level a later block touches.  A window holds at
+most ``FUSION_GATES`` blocks (see :func:`ddqsim.ops.fused_windows`).  It
+ends before any other gate, which runs alone, and after every
 position where a round may fire: after every gate in memory-driven runs,
 which therefore never fuse, and at the planned or marker positions in
 fidelity-driven runs, so the round fidelities keep their meaning.
@@ -46,35 +47,20 @@ the collector would only re-scan the live diagram again and again.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
 from .approx import approximate_round
 from .circuit import Circuit
-from .dd import Context, StateDD, collector_paused
-from .ops import apply, is_monomial
+from .dd import CapacityError, Context, StateDD, collector_paused
+from .ops import apply, fused_windows, is_monomial
 
 #: Unique-table size that triggers a sweep, which frees the dead nodes the
 #: table still holds.  ``_run`` then raises the trigger to twice the live
 #: count, so dead nodes never outnumber live ones by much, and each sweep's
 #: walk of the table is paid for by the entries added since the last one.
 GC_WATERMARK = 1 << 12
-
-#: Most gates a window of fused monomial gates may hold; nothing else bounds
-#: its length or its span.  A window's pass rebuilds the levels above its
-#: highest qubit once, but each block still rebuilds the levels between there
-#: and its own top, so a long window over a chain of qubits costs nodes again:
-#: exact GHZ 500 created 17,369 nodes at 8, 10,518 at 16, 7,550 at 32, 8,222 at
-#: 64, 12,286 at 128 and 42,750 in two windows without a limit, and took
-#: 0.070-0.120 CPU s at 16, 0.053-0.068 at 32 and 0.054-0.106 at 64 (best to
-#: worst of 20, 2-vCPU VM).  Within a block, each column of its matrix
-#: multiplies one weight per gate on its own, so columns whose ratios are equal
-#: in exact arithmetic drift apart by rounding that grows with the block, and a
-#: product state splits where they straddle a weight cell.  Over 40 seeded
-#: chains of an H on each of 4 qubits then 4,000 RZ, one block per window, the
-#: final state split on 10 without a limit and on 0-2 with 4 to 128; 3 % of
-#: window ends split transiently at 32.
-FUSION_GATES = 32
 
 
 @dataclass
@@ -237,27 +223,28 @@ def _windows(gates, stops):
     """Split ``gates`` into the windows that :func:`_run` applies as one.
 
     A window is a run of consecutive monomial gates (see
-    :func:`ddqsim.ops.is_monomial`) that holds at most ``FUSION_GATES``
-    gates; any other gate is a window of its own.  A window also ends after
-    every gate count in ``stops``, and a gate that would open a window
-    ending there is not classified at all.
+    :func:`ddqsim.ops.is_monomial`), cut by :func:`ddqsim.ops.fused_windows`
+    into windows of at most ``ddqsim.ops.FUSION_GATES`` blocks; any other
+    gate is a window of its own.  A window also ends after every gate count
+    in ``stops``, and a gate that would open a window ending there is not
+    classified at all.
     """
-    window: list = []
+    run: list = []
     for done, gate in enumerate(gates, 1):
-        if not window and done in stops:
+        if not run and done in stops:
             # The gate is a window of its own whatever its kind.
             yield [gate]
             continue
-        fusable = is_monomial(gate)
-        if window and (not fusable or len(window) == FUSION_GATES):
-            yield window
-            window = []
-        window.append(gate)
-        if not fusable or done in stops:
-            yield window
-            window = []
-    if window:
-        yield window
+        if not is_monomial(gate):
+            yield from fused_windows(run)
+            run = []
+            yield [gate]
+            continue
+        run.append(gate)
+        if done in stops:
+            yield from fused_windows(run)
+            run = []
+    yield from fused_windows(run)
 
 
 def _run(circuit: Circuit, context: Context | None, mode: str, policy,
@@ -273,6 +260,9 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy,
     gate may find them again; once it holds more than the watermark,
     :meth:`Context.collect_garbage` frees them, and the watermark becomes
     twice the live count, or ``GC_WATERMARK`` if more.
+    A register deeper than ``sys.getrecursionlimit()`` is refused with
+    :class:`~ddqsim.dd.CapacityError` before anything is allocated: every
+    kernel recurses once per level, so it could not run.
     Python's cyclic garbage collector is paused for the loop, rounds and
     :meth:`Context.collect_garbage` included, by
     :func:`ddqsim.dd.collector_paused`, which switches it back on afterwards
@@ -282,8 +272,15 @@ def _run(circuit: Circuit, context: Context | None, mode: str, policy,
     collector's repeated scans of the live nodes.
     """
     circuit.validate()
-    ctx = context if context is not None else Context()
     n = circuit.num_qubits
+    limit = sys.getrecursionlimit()
+    if n > limit:
+        # Every kernel recurses once per level, so no such register can run;
+        # refuse it before its basis-state label is built.
+        raise CapacityError(
+            f"a {n}-qubit register is too deep: every kernel recurses once "
+            f"per level, and the recursion limit is {limit}")
+    ctx = context if context is not None else Context()
     stats = SimStats(benchmark=circuit.name, mode=mode, num_qubits=n,
                      num_gates=len(circuit.ops))
     started = time.perf_counter()

@@ -193,6 +193,24 @@ def test_capacity_guard_exit_3(capsys):
     assert "capacity" in err
 
 
+def test_register_deeper_than_the_recursion_limit_exits_3(
+        monkeypatch, tmp_path, capsys):
+    # Refused before the basis state, or its label, is built.
+    def refuse(*args):
+        raise AssertionError("make_basis_state was called")
+
+    monkeypatch.setattr(ddqsim.dd.Context, "make_basis_state", refuse)
+    n = sys.getrecursionlimit() + 1
+    path = tmp_path / "deep.qasm"
+    path.write_text(f"OPENQASM 2.0;\nqreg q[{n}];\nh q[0];\n")
+    code, out, err = run(capsys, str(path))
+    assert code == 3
+    assert out == ""
+    assert err == (f"simulate: capacity: a {n}-qubit register is too deep: "
+                   f"every kernel recurses once per level, and the "
+                   f"recursion limit is {n - 1}\n")
+
+
 def test_memory_error_exits_3_without_a_traceback(monkeypatch, capsys):
     def refuse(circuit):
         raise MemoryError

@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from ddqsim import approx, oracle, strategies
+from ddqsim import approx, ops, oracle, strategies
 from ddqsim.circuit import (Circuit, Gate, gate_entries, gen_ghz,
                             gen_shor_period)
 from ddqsim.dd import TERMINAL, Context
-from ddqsim.ops import (FUSION_SPAN, _blocks, _composed_entries,
-                        _folded_columns, apply, fidelity, gate_dd,
-                        inner_product, is_monomial)
+from ddqsim.ops import (FUSION_GATES, FUSION_SPAN, _blocks,
+                        _composed_entries, _folded_columns, apply, fidelity,
+                        gate_dd, inner_product, is_monomial)
 from ddqsim.oracle import _apply_dense, dense_simulate, random_state
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
                                even_positions, plan_rounds, simulate_exact,
@@ -133,6 +133,65 @@ def test_blocks_in_one_pass_match_gate_by_gate_and_oracle(seed):
     ctx.check_invariants()
 
 
+def rising_then_falling_window(rng: random.Random, n: int) -> list:
+    """Seeded monomial gates on four-qubit stations that climb the register
+    and come back down, with one block on qubits 0-3 repeated later.  Each
+    station opens with a Z controlled by its other three qubits, so it is
+    one block."""
+    station = lambda b: [Gate("Z", (0,), controls=(1, 2, 3))] + [
+        random_monomial_gate(rng, 4) for _ in range(rng.randint(1, 4))]
+    moved = lambda gates, b: [Gate(g.kind, tuple(q + b for q in g.targets),
+                                   tuple(q + b for q in g.controls), g.angle,
+                                   g.table) for g in gates]
+    bottom = station(0)
+    run = list(bottom)
+    bases = list(range(2, n - 3, 2))
+    for b in bases + bases[-2::-1]:
+        run += moved(station(b), b)
+    return run + bottom
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chained_descent_with_rising_and_falling_tops(seed):
+    # Each block hands its sub-results to the next at the highest level a
+    # later block touches; here the block tops rise and then fall, and the
+    # first and last blocks are one cached diagram.
+    rng = random.Random(2000 + seed)
+    n = rng.randint(8, 11)
+    run = rising_then_falling_window(rng, n)
+    ctx = Context()
+    parts = list(_blocks(run))
+    roots = [gate_dd(ctx, *block)[0] for block in parts]
+    tops = [max(q for g in block for q in g.qubits()) for block in parts]
+    peak = tops.index(max(tops))
+    assert 0 < peak < len(tops) - 1
+    assert tops[0] < tops[peak] > tops[-1]
+    assert roots[0] is roots[-1]
+    assert len(parts) <= FUSION_GATES
+    vec = random_state(n, seed)
+    fused = apply(ctx.from_dense(vec), *run).to_dense()
+    single = apply_one_by_one(ctx.from_dense(vec), run).to_dense()
+    assert np.abs(fused - single).max() <= 1e-12
+    assert np.abs(fused - dense_run(vec, run, n)).max() <= 1e-12
+    ctx.check_invariants()
+
+
+def test_one_diagram_serving_two_blocks_keeps_their_results_apart():
+    # Blocks 0 and 2 are one cached diagram (qubits 0-3 are their own
+    # placement), and all four hand on at level 9.  On |0...0> blocks 0
+    # and 1 change no node, so block 2 meets the very node that block 0
+    # handed on, and only the block index tells their results apart.
+    n = 10
+    b = Gate("Z", (0,), controls=(1, 2, 3))
+    run = [b, Gate("Z", (4,), controls=(5, 6, 7)), b, Gate("X", (9,))]
+    ctx = Context()
+    roots = [gate_dd(ctx, *block)[0] for block in _blocks(run)]
+    assert len(roots) == 4 and roots[0] is roots[2]
+    state = apply(ctx.make_basis_state(n, "0" * n), *run)
+    assert state.amplitude("1" + "0" * (n - 1)) == 1
+    assert state.node_count() == n
+
+
 def test_fused_apply_of_dense_gates_matches_gate_by_gate():
     # apply accepts any gates; a dense run multiplies full columns.
     n = 5
@@ -189,15 +248,89 @@ def test_composed_entries_match_the_dict_composition_bit_for_bit(seed):
             assert {repr(w) for w in got.values()} <= own | {repr(1 + 0j)}
 
 
-def test_gate_dds_are_cached_per_gates_tuple():
+def test_gate_dds_are_cached_per_shape():
+    # The key is the gates relabeled to their qubits' ranks among the
+    # touched ones, and the cached diagram lies on those local levels.
     ctx = Context()
     gate = Gate("X", (1,), controls=(3,))
+    local = Gate("X", (0,), controls=(1,))
     edge = gate_dd(ctx, gate)
-    assert ctx.gate_dds == {(gate,): edge}
+    assert set(ctx.gate_dds) == {(local,)}
+    assert edge[0].level == 3 and ctx.gate_dds[(local,)][0].level == 1
+    assert gate_dd(ctx, Gate("X", (5,), controls=(9,)))[0].level == 9
+    assert gate_dd(ctx, local) == ctx.gate_dds[(local,)]
+    assert set(ctx.gate_dds) == {(local,)}
     pair = gate_dd(ctx, gate, gate)
     # X twice is the identity on everything it touches.
     assert pair == (TERMINAL, 1 + 0j)
-    assert set(ctx.gate_dds) == {(gate,), (gate, gate)}
+    assert set(ctx.gate_dds) == {(local,), (local, local)}
+
+
+def matrix_nodes(edge):
+    """Every node of a matrix diagram in depth-first order, each as its
+    level and its edges' weights and successor positions in that order."""
+    order: dict = {}
+    out = []
+
+    def visit(node):
+        if node is TERMINAL or node in order:
+            return
+        order[node] = len(order)
+        for target, _ in node.edges:
+            visit(target)
+        out.append((node.level, [(repr(w), -1 if t is TERMINAL else order[t])
+                                 for t, w in node.edges]))
+
+    visit(edge[0])
+    return repr(edge[1]), out
+
+
+def matrix_entries(edge, touched):
+    """Sparse ``(row, col) -> weight`` of a matrix diagram over the sorted
+    qubits ``touched``, multiplying the weights along each path."""
+    out = {}
+    stack = [(edge[0], edge[1], 0, 0, len(touched) - 1)]
+    while stack:
+        node, w, row, col, p = stack.pop()
+        if node is TERMINAL:
+            # An identity block over the local bits p..0.
+            for b in range(1 << (p + 1)):
+                out[(row | b, col | b)] = w
+            continue
+        while touched[p] > node.level:
+            p -= 1
+        for quad, (target, ew) in enumerate(node.edges):
+            if ew != 0:
+                stack.append((target, w * ew, row | (quad >> 1) << p,
+                              col | (quad & 1) << p, p - 1))
+    return out
+
+
+def test_one_shape_builds_once_and_every_placement_matches_a_fresh_build(
+        monkeypatch):
+    built = []
+    compose = ops._composed_entries
+    monkeypatch.setattr(ops, "_composed_entries",
+                        lambda gates, touched: built.append(gates) or
+                        compose(gates, touched))
+    shape = [Gate("X", (0,), controls=(2,)), Gate("T", (1,)),
+             Gate("SWAP", (0, 1)), Gate("RZ", (2,), angle=0.7)]
+    ctx = Context()
+    for touched in ([2, 5, 6], [0, 3, 9], [0, 1, 2]):
+        gates = [Gate(g.kind, tuple(touched[q] for q in g.targets),
+                      tuple(touched[q] for q in g.controls), g.angle)
+                 for g in shape]
+        placed = gate_dd(ctx, *gates)
+        fresh = gate_dd(Context(), *gates)
+        assert matrix_nodes(placed) == matrix_nodes(fresh)
+        assert {level for level, _ in matrix_nodes(placed)[1]} <= \
+            set(touched)
+        got = matrix_entries(placed, touched)
+        want = _composed_entries(tuple(gates), touched)
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-15
+    # One build for the three placements, one for each fresh context.
+    assert len(built) == 4
 
 
 def test_apply_needs_a_gate():
@@ -212,6 +345,12 @@ def windows(gates, stops=()):
 
 def blocks(gates):
     return [len(b) for b in _blocks(gates)]
+
+
+def test_blocks_hold_at_most_fusion_gates_gates():
+    assert FUSION_GATES == 32
+    run = [Gate("T", (q % 3,)) for q in range(2 * FUSION_GATES + 5)]
+    assert blocks(run) == [FUSION_GATES] * 2 + [5]
 
 
 def test_blocks_span_at_most_fusion_span_qubits():
@@ -235,8 +374,15 @@ def test_windows_end_at_dense_gates_and_stops_only():
 
 
 def test_windows_hold_at_most_fusion_gates():
-    run = [Gate("T", (q % 3,)) for q in range(2 * strategies.FUSION_GATES + 5)]
-    assert windows(run) == [strategies.FUSION_GATES] * 2 + [5]
+    # A window ends before it would open block FUSION_GATES + 1, with
+    # blocks ended by their gate count ...
+    run = [Gate("T", (q % 3,)) for q in range(FUSION_GATES * (FUSION_GATES + 1) + 5)]
+    assert windows(run) == [FUSION_GATES * FUSION_GATES, FUSION_GATES + 5]
+    # ... or by their span.
+    run = [Gate("T", (q,)) for q in range(FUSION_SPAN * (FUSION_GATES + 1))]
+    assert windows(run) == [FUSION_SPAN * FUSION_GATES, FUSION_SPAN]
+    assert [blocks(w) for w in strategies._windows(run, ())] == \
+        [[FUSION_SPAN] * FUSION_GATES, [FUSION_SPAN]]
 
 
 def test_windows_skip_classifying_gates_that_end_at_a_stop(monkeypatch):
@@ -266,14 +412,15 @@ def test_wide_permutation_runs_alone():
     assert np.abs(state.to_dense() - dense_simulate(circ)).max() <= 1e-12
 
 
-def test_ghz_500_runs_in_17_windows_of_shared_passes():
-    # The H, then the 499 CX gates in windows of FUSION_GATES: each window
-    # rebuilds the levels above it once, not once per block.
+def test_ghz_500_runs_in_7_windows_of_one_descent():
+    # The H, then the 499 CX gates in windows of FUSION_GATES blocks of
+    # three CX each; each window's descent rebuilds each level about once,
+    # not once per block below it.
     ctx = Context()
     _, stats = simulate_exact(gen_ghz(500), ctx)
-    assert len(stats.node_trace) == 17
+    assert stats.trace_after_gate == [1, 97, 193, 289, 385, 481, 500]
     assert stats.final_dd_size == stats.max_dd_size == 999
-    assert ctx._next_uid - 1 < 10_000
+    assert ctx._next_uid - 1 < 3_000
 
 
 def assert_trace_is_per_window(stats):

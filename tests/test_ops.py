@@ -96,15 +96,20 @@ def test_apply_preserves_norm():
 
 
 def test_gate_dd_cached_per_gate_value():
+    # One entry per gate value with its qubits relabeled to local ranks:
+    # H on any qubit is one shape, placed at that qubit.
     ctx = Context()
     a = gate_dd(ctx, Gate("H", (2,)))
     b = gate_dd(ctx, Gate("H", (2,)))
-    assert a is b or (a[0] is b[0] and a[1] == b[1])
+    assert a[0].level == b[0].level == 2 and a[1] == b[1]
+    assert a[0].edges == b[0].edges
     c = gate_dd(ctx, Gate("H", (1,)))
-    assert c[0] is not a[0]
+    assert c[0].level == 1 and c[0].edges == a[0].edges
+    assert list(ctx.gate_dds) == [(Gate("H", (0,)),)]
     r1 = gate_dd(ctx, Gate("RZ", (0,), angle=0.5))
     r2 = gate_dd(ctx, Gate("RZ", (0,), angle=0.25))
     assert r1[0] is not r2[0] or r1[1] != r2[1]
+    assert len(ctx.gate_dds) == 3
 
 
 def test_collect_garbage_drops_gate_dds():

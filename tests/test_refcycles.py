@@ -8,6 +8,7 @@ to its prior state afterwards.
 """
 import gc
 import math
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -115,6 +116,11 @@ def test_run_restores_collector_after_capacity_error():
     assert gc.isenabled()
     with pytest.raises(CapacityError):
         strategies.simulate_exact(gen_ghz(1200))
+    assert gc.isenabled()
+    # A register at the recursion limit passes the register cap and runs
+    # out of stack inside the paused gate loop.
+    with pytest.raises(CapacityError, match="recursive gate application"):
+        strategies.simulate_exact(gen_ghz(sys.getrecursionlimit()))
     assert gc.isenabled()
 
 

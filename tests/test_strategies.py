@@ -9,6 +9,7 @@ from ddqsim import strategies
 from ddqsim.circuit import (Circuit, Gate, gen_ghz, gen_qft, gen_shor_period,
                             gen_supremacy)
 from ddqsim.dd import Context
+from ddqsim.ops import FUSION_GATES
 from ddqsim.oracle import dense_fidelity, dense_simulate
 from ddqsim.strategies import (FidelityDrivenConfig, MemoryDrivenConfig,
                                even_positions, marker_positions, plan_rounds,
@@ -133,9 +134,10 @@ def test_long_parametric_circuit_stays_bounded(monkeypatch):
     assert len(ctx.gate_dds) < len(ops)
 
     # The same chain with RZ after an H on each qubit: RZ is monomial, so
-    # the 40,000 phases fuse into windows of FUSION_GATES gates, each
-    # applied in one pass, and the product state ends at 4 nodes.  One
-    # sweep fires on the 1,254 windows' nodes and gate DDs.
+    # the 40,000 phases fuse into blocks of FUSION_GATES gates and windows
+    # of FUSION_GATES blocks, each window applied in one descent, and the
+    # product state ends at 4 nodes.  One sweep fires on the 44 windows'
+    # nodes and gate DDs.
     collections.clear()
     rng = random.Random(1)
     ops = [Gate("H", (q,)) for q in range(4)]
@@ -143,10 +145,11 @@ def test_long_parametric_circuit_stays_bounded(monkeypatch):
             for _ in range(40_000)]
     ctx = Context()
     state, stats = simulate_exact(Circuit(4, ops, name="rz_chain"), ctx)
-    assert strategies.FUSION_GATES == 32
-    assert stats.trace_after_gate == [1, 2, 3, 4] + list(range(36, len(ops) + 1, 32))
+    assert FUSION_GATES == 32
+    assert stats.trace_after_gate == \
+        [1, 2, 3, 4] + list(range(4 + 32 * 32, len(ops), 32 * 32)) + [len(ops)]
     assert stats.final_dd_size == 4
-    assert collections == [4093]
+    assert collections == [4211]
     assert np.abs(state.to_dense() - dense_simulate(Circuit(4, ops))).max() < 1e-11
 
 
